@@ -25,7 +25,6 @@ from .graph import (
     INFINITE,
     Graph,
     GraphFile,
-    InfiniteGirth,
     RootedSubgraph,
     girth,
     girth_at_least,
@@ -56,7 +55,6 @@ from .lifts import (
     matching_decomposition,
     regular_supergraph,
     verify_covering_map,
-    view_pair,
 )
 from .localsim import (
     ALGORITHMS,

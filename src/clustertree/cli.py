@@ -32,11 +32,13 @@ def _write_json(path: str, doc) -> None:
 
 def _load_ct(path: str) -> sk.CTGraph:
     gf = read_graph_json(path)
-    if gf.clusters is None or not gf.meta or "k" not in gf.meta:
+    if gf.clusters is None or not gf.meta or not all(
+        type(gf.meta.get(key)) is int for key in ("k", "beta")
+    ):
         raise ClusterTreeError(
             f"{path} lacks cluster assignments or k/beta metadata"
         )
-    skel = sk.build_skeleton(int(gf.meta["k"]), int(gf.meta["beta"]))
+    skel = sk.build_skeleton(gf.meta["k"], gf.meta["beta"])
     if max(gf.clusters, default=0) >= len(skel.clusters):
         raise ClusterTreeError(
             f"{path} carries cluster ids outside its skeleton "
@@ -156,6 +158,8 @@ def _cmd_verify_iso(args) -> int:
     if args.v0 is not None and args.v1 is not None:
         pairs = [(args.v0, args.v1)]
     elif args.all_pairs_sample:
+        if not (c0 and c1):
+            raise ClusterTreeError(f"{args.graph} has no cluster-0 or cluster-1 node")
         rng = random.Random(args.seed)
         pairs = [
             (rng.choice(c0), rng.choice(c1))
@@ -342,7 +346,7 @@ def dispatch(argv) -> int:
     except ClusterTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,47 +10,14 @@ constructions are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 
-class InfiniteGirth:
-    """Sentinel for the girth of an acyclic graph.
-
-    Compares greater than every integer and equal only to itself.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infinite"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, InfiniteGirth)
-
-    def __hash__(self) -> int:
-        return hash("InfiniteGirth")
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, InfiniteGirth)
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, InfiniteGirth)
-
-
-INFINITE = InfiniteGirth()
+# girth of an acyclic graph
+INFINITE = math.inf
 
 
 class Graph:
@@ -90,6 +57,9 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         return cls(n, [tuple(sorted(nbrs)) for nbrs in adj])
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -173,71 +143,91 @@ class Graph:
         return color
 
     def is_forest(self) -> bool:
-        seen = [False] * self.n
         for comp in self.connected_components():
             comp_edges = sum(len(self.adj[u]) for u in comp) // 2
             if comp_edges != len(comp) - 1:
                 return False
-            for u in comp:
-                seen[u] = True
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootedSubgraph:
-    """A k-hop subgraph: everything within k hops of a root node.
+    """A k-hop view: everything within k hops of a root node.
 
     Edges joining two nodes that are both at the maximum depth are not
-    part of the subgraph, so when the host graph has girth at least 2k+1
-    the subgraph is a tree.
+    part of the view, so when the host graph has girth at least 2k+1
+    the view is a tree.
 
-    ``graph`` is reindexed to dense local indices; ``nodes[i]`` is the
-    original index of local node ``i`` and ``nodes[0]`` is the root.
-    ``depth_of`` is keyed by original node index.
+    ``graph`` is reindexed to dense local indices: ``nodes[i]`` is the
+    host index of local node ``i`` and ``depth[i]`` its distance from
+    the root. Nodes are sorted by (depth, host index), so ``nodes[0]``
+    is the root.
     """
 
     graph: Graph
     root: int
     k: int
     nodes: tuple[int, ...]
-    depth_of: dict[int, int]
+    depth: tuple[int, ...]
+
+    def is_tree(self) -> bool:
+        # a ball around one root is connected
+        return self.graph.edge_count() == len(self.nodes) - 1
 
     def node_set(self) -> set[int]:
         return set(self.nodes)
 
     def edge_set(self) -> set[frozenset[int]]:
-        """Edges in original node indices."""
+        """Edges in host node indices."""
         return {
             frozenset((self.nodes[u], self.nodes[v]))
             for u, v in self.graph.edges()
         }
 
-    def local_index(self) -> dict[int, int]:
-        return {orig: i for i, orig in enumerate(self.nodes)}
 
-
-def k_hop_subgraph(g: Graph, v: int, k: int) -> RootedSubgraph:
-    """Extract the k-hop subgraph of ``v``.
+def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
+    """Extract the k-hop view of ``v``.
 
     Node set: all nodes at distance <= k from ``v``. Edge set: the induced
     edges minus those whose endpoints are both at distance exactly k.
+    ``g`` is anything with ``n`` and ``neighbors(v)``: a ``Graph``, a
+    ``CTGraph`` or a ``VoltageLift``.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"node {v} out of range")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    depth = g.bfs_distances(v, cutoff=k)
-    # (depth, index) order keeps BFS layers contiguous and deterministic
-    nodes = [v] + sorted((u for u in depth if u != v), key=lambda u: (depth[u], u))
-    index = {orig: i for i, orig in enumerate(nodes)}
-    edges = []
-    for u in nodes:
-        du = depth[u]
-        for w in g.adj[u]:
-            if u < w and w in depth and not (du == k and depth[w] == k):
-                edges.append((index[u], index[w]))
-    sub = Graph.from_edges(len(nodes), edges)
-    return RootedSubgraph(graph=sub, root=v, k=k, nodes=tuple(nodes), depth_of=depth)
+    index = {v: 0}
+    nodes = [v]
+    depth = [0]
+    inner = 0  # nodes[:inner] lie below depth k
+    for d in range(1, k + 1):
+        layer = sorted(
+            {w for u in nodes[inner:] for w in g.neighbors(u) if w not in index}
+        )
+        inner = len(nodes)
+        for w in layer:
+            index[w] = len(nodes)
+            nodes.append(w)
+        depth.extend([d] * len(layer))
+    # every view edge has an end below depth k, whose neighbours all lie
+    # in the view; scanning those ends in order keeps each list sorted
+    outer: list[list[int]] = [[] for _ in range(len(nodes) - inner)]
+    adj: list[tuple[int, ...]] = []
+    for i in range(inner):
+        local = sorted(index[w] for w in g.neighbors(nodes[i]))
+        adj.append(tuple(local))
+        for j in local:
+            if j >= inner:
+                outer[j - inner].append(i)
+    adj.extend(tuple(nbrs) for nbrs in outer)
+    return RootedSubgraph(
+        graph=Graph(len(nodes), adj),
+        root=v,
+        k=k,
+        nodes=tuple(nodes),
+        depth=tuple(depth),
+    )
 
 
 def _shortest_cycle_sweep(
@@ -289,7 +279,7 @@ def _shortest_cycle_sweep(
     return best if found else None
 
 
-def girth(g: Graph) -> int | InfiniteGirth:
+def girth(g: Graph) -> int | float:
     """Exact girth: length of the shortest cycle, INFINITE for forests.
 
     Computed by BFS from every node; stops as soon as the theoretical
@@ -374,11 +364,41 @@ def graph_to_json_dict(
     return doc
 
 
-def graph_from_json_dict(doc: dict) -> GraphFile:
-    g = Graph.from_edges(doc["n"], [tuple(e) for e in doc["edges"]])
-    clusters = tuple(doc["clusters"]) if "clusters" in doc else None
+def graph_from_json_dict(doc) -> GraphFile:
+    """Parse a graph document; any malformed shape raises ValueError.
+
+    ``type(x) is int`` keeps JSON booleans out of integer fields.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("graph document must be a JSON object")
+    n = doc.get("n")
+    if type(n) is not int or n < 0:
+        raise ValueError("graph document needs a nonnegative integer 'n'")
+    edges = doc.get("edges")
+    try:
+        pairs_ok = isinstance(edges, list) and all(
+            type(u) is int and type(v) is int for u, v in edges
+        )
+    except (TypeError, ValueError):  # an entry that does not unpack to two
+        pairs_ok = False
+    if not pairs_ok:
+        raise ValueError("'edges' must be a list of [u, v] integer pairs")
+    clusters = doc.get("clusters")
+    if clusters is not None and not (
+        isinstance(clusters, list)
+        and len(clusters) == n
+        and all(type(c) is int and c >= 0 for c in clusters)
+    ):
+        raise ValueError(f"'clusters' must hold {n} nonnegative integers")
     meta = doc.get("meta")
-    return GraphFile(graph=g, clusters=clusters, meta=meta)
+    if meta is not None and not isinstance(meta, dict):
+        raise ValueError("'meta' must be a JSON object")
+    g = Graph.from_edges(n, edges)
+    return GraphFile(
+        graph=g,
+        clusters=None if clusters is None else tuple(clusters),
+        meta=meta,
+    )
 
 
 def write_graph_json(

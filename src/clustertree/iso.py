@@ -6,9 +6,13 @@ k-hop views. At each paired node the undiscovered neighbors are bucketed
 by the outgoing exponent of the node's cluster toward each neighbor's
 cluster, buckets are zipped index by index, and the single possible
 bucket-length mismatch (one bucket longer on each side, by one) is
-repaired by pairing the two leftover nodes with each other. High girth
-makes both views trees, which is what makes the coupled walk well
-defined.
+repaired by pairing the two leftover nodes with each other. The walk is
+well defined when both views are trees, which girth at least 2k+1
+guarantees.
+
+The walk reads its input through four names: ``n``, ``neighbors(v)``,
+``cluster(v)`` and ``skeleton``. A ``CTGraph`` and a ``VoltageLift``
+both provide them, so the walk runs on a lift without building it.
 
 Every pairing is recorded in an audit trail: positions (leaf/internal),
 history exponents (the outgoing exponent back toward the parent's
@@ -26,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import GirthTooLowError, NotATreeError, PairingFailureError
-from .graph import Graph, RootedSubgraph, girth_at_least, k_hop_subgraph
-from .skeleton import CTGraph, ClusterTreeSkeleton
+from .graph import Graph, RootedSubgraph, k_hop_subgraph
+from .skeleton import ClusterTreeSkeleton
 
 CASE_NONE = 0
 CASE_BOTH = 3
@@ -79,37 +83,40 @@ def _neighbor_exponents(skel: ClusterTreeSkeleton) -> dict[int, dict[int, int]]:
     return table
 
 
-def find_isomorphism(
-    ct: CTGraph, k: int, v0: int, v1: int
-) -> PartialIsomorphism:
+def find_isomorphism(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
     """Run the coupled walk and return the view bijection v0 -> v1.
 
-    Requires girth >= 2k+1 (checked; GirthTooLowError otherwise),
-    v0 in cluster 0 and v1 in cluster 1. A bucket mismatch that the
-    single repair cannot fix raises PairingFailureError.
+    ``ct`` is a ``CTGraph`` or a ``VoltageLift``. Requires v0 in
+    cluster 0, v1 in cluster 1 and both k-hop views to be trees (checked;
+    GirthTooLowError otherwise). A bucket mismatch that the single
+    repair cannot fix raises PairingFailureError.
     """
     skel = ct.skeleton
     if k != skel.k:
         raise ValueError(f"graph is built for k={skel.k}, got k={k}")
-    g = ct.graph
-    if ct.cluster_of[v0] != 0:
+    for v in (v0, v1):
+        if not (0 <= v < ct.n):
+            raise ValueError(f"node {v} out of range for n={ct.n}")
+    cluster = ct.cluster
+    neighbors = ct.neighbors
+    if cluster(v0) != 0:
         raise ValueError(f"node {v0} is not in cluster 0")
-    if ct.cluster_of[v1] != 1:
+    if cluster(v1) != 1:
         raise ValueError(f"node {v1} is not in cluster 1")
-    if not girth_at_least(g, 2 * k + 1):
-        raise GirthTooLowError(f"girth below {2 * k + 1}; views are not trees")
+    for v in (v0, v1):
+        if not k_hop_subgraph(ct, v, k).is_tree():
+            raise GirthTooLowError(f"the {k}-hop view of node {v} is not a tree")
 
     toward = _neighbor_exponents(skel)
-    cluster_of = ct.cluster_of
     clusters = skel.clusters
     width = k + 2
 
     def buckets(node: int, exclude: int | None) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(width)]
-        exps = toward[cluster_of[node]]
-        for u in g.adj[node]:
+        exps = toward[cluster(node)]
+        for u in neighbors(node):
             if u != exclude:
-                exp = exps.get(cluster_of[u])
+                exp = exps.get(cluster(u))
                 if exp is None:
                     raise PairingFailureError(
                         f"edge ({node}, {u}) joins clusters that are not "
@@ -178,12 +185,12 @@ def find_isomorphism(
     while stack:
         v, w, pv, pw, depth = stack.pop()
         d = k - depth
-        cv_id, cw_id = cluster_of[v], cluster_of[w]
+        cv_id, cw_id = cluster(v), cluster(w)
         if pv is None:
             hv = hw = None
         else:
-            hv = toward[cv_id][cluster_of[pv]]
-            hw = toward[cw_id][cluster_of[pw]]
+            hv = toward[cv_id][cluster(pv)]
+            hw = toward[cw_id][cluster(pw)]
         if depth == 0:
             audit.append(
                 AuditRecord(
@@ -228,17 +235,17 @@ def find_isomorphism(
 
 
 def verify_isomorphism(
-    ct: CTGraph, k: int, v0: int, v1: int, phi: PartialIsomorphism
+    ct, k: int, v0: int, v1: int, phi: PartialIsomorphism
 ) -> bool:
     """Definitional check that ``phi`` is a view isomorphism v0 -> v1.
 
-    Confirms that the forward map is a bijection from exactly the nodes
-    of the k-hop view of v0 onto those of v1, sends v0 to v1, and maps
-    edges to edges in both directions.
+    ``ct`` is a ``CTGraph`` or a ``VoltageLift``. Confirms that the
+    forward map is a bijection from exactly the nodes of the k-hop view
+    of v0 onto those of v1, sends v0 to v1, and maps edges to edges in
+    both directions.
     """
-    g = ct.graph
-    sub0 = k_hop_subgraph(g, v0, k)
-    sub1 = k_hop_subgraph(g, v1, k)
+    sub0 = k_hop_subgraph(ct, v0, k)
+    sub1 = k_hop_subgraph(ct, v1, k)
     f = phi.forward
     if f.get(v0) != v1:
         return False
@@ -309,7 +316,8 @@ def unfold_view_tree(
     internal cluster sees beta^i new nodes through outgoing exponent i,
     minus the edge it was discovered through. The returned graph is that
     tree with node 0 as the root, together with per-node cluster ids.
-    Useful as a stand-in when no concrete high-girth instance is at hand.
+    It is the shape the skeleton prescribes, against which the views of
+    concrete instances (pipeline outputs, voltage lifts) are checked.
     """
     beta = skel.beta
     clusters: list[int] = [root_cluster]

@@ -10,8 +10,8 @@ a CT graph but with girth at least 2k+1.
 
 ``VoltageLift`` reaches girth 6 without that pipeline's size: it lifts
 the low-girth CT graph itself with voltages in Z_p and is never
-materialized; ``view_pair`` extracts the k-hop views the coupled walk
-needs from it.
+materialized; ``k_hop_subgraph`` and the coupled walk read it through
+``neighbors`` and ``cluster`` like any CT graph.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     DegreeMismatchError,
     EmptyGraphError,
     IterationLimitError,
-    NotATreeError,
     NotBipartiteError,
     NotRegularError,
     SizeCapExceededError,
@@ -570,51 +569,3 @@ class VoltageLift:
         step = self._sign[v] * v
         return [u * p + (x + step * u) % p for u in self.base.graph.adj[v]]
 
-
-def view_pair(
-    source: CTGraph | VoltageLift, k: int, x0: int, x1: int
-) -> tuple[CTGraph, int, int]:
-    """The k-hop views of ``x0`` and ``x1`` as one two-tree CT forest.
-
-    Each view is grown breadth first to depth k and reindexed densely,
-    the view of ``x0`` first; the views stay disjoint even where they
-    overlap in ``source``. Returns the forest and the indices of the two
-    roots in it, ready for ``find_isomorphism`` and
-    ``verify_isomorphism``. Raises NotATreeError when a node at depth
-    below k has a neighbour, other than its parent, that the search has
-    already reached: then the view contains a cycle. Otherwise each view
-    equals ``k_hop_subgraph`` of ``source`` around its root.
-    """
-    # BFS indices make every adjacency list [parent, children...] sorted
-    adj: list[list[int]] = []
-    clusters: list[int] = []
-    roots: list[int] = []
-    for root in (x0, x1):
-        index = {root: len(adj)}
-        roots.append(len(adj))
-        adj.append([])
-        clusters.append(source.cluster(root))
-        frontier: list[tuple[int, int | None]] = [(root, None)]
-        for _ in range(k):
-            reached: list[tuple[int, int | None]] = []
-            for u, parent in frontier:
-                iu = index[u]
-                for w in source.neighbors(u):
-                    if w == parent:
-                        continue
-                    if w in index:
-                        raise NotATreeError(
-                            f"the {k}-hop view of node {root} contains a cycle"
-                        )
-                    index[w] = len(adj)
-                    adj[iu].append(len(adj))
-                    adj.append([iu])
-                    clusters.append(source.cluster(w))
-                    reached.append((w, u))
-            frontier = reached
-    forest = CTGraph(
-        graph=Graph(len(adj), [tuple(nbrs) for nbrs in adj]),
-        skeleton=source.skeleton,
-        cluster_of=tuple(clusters),
-    )
-    return forest, roots[0], roots[1]

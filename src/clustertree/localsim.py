@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .builder import DoubledGraph
 from .errors import GirthTooLowError, NotATreeError, TooLargeError
-from .graph import Graph, k_hop_subgraph, girth_at_least
+from .graph import Graph, RootedSubgraph, girth_at_least, k_hop_subgraph
 from .iso import canonical_form_rooted
 from .matching import bipartition, hopcroft_karp, koenig_cover
 
@@ -53,31 +53,9 @@ class Labeling:
         return cls(ids=ids, rng_seed=seed)
 
 
-class _ViewTemplate:
-    """Unlabeled k-hop view of one node, in local indices (0 = root)."""
-
-    __slots__ = ("nodes", "adj", "depth")
-
-    def __init__(self, nodes: tuple[int, ...], adj: tuple[tuple[int, ...], ...],
-                 depth: tuple[int, ...]):
-        self.nodes = nodes
-        self.adj = adj
-        self.depth = depth
-
-
 @lru_cache(maxsize=8)
-def _view_templates(g: Graph, k: int) -> list[_ViewTemplate]:
-    out = []
-    for v in range(g.n):
-        sub = k_hop_subgraph(g, v, k)
-        out.append(
-            _ViewTemplate(
-                nodes=sub.nodes,
-                adj=sub.graph.adj,
-                depth=tuple(sub.depth_of[u] for u in sub.nodes),
-            )
-        )
-    return out
+def _view_templates(g: Graph, k: int) -> list[RootedSubgraph]:
+    return [k_hop_subgraph(g, v, k) for v in range(g.n)]
 
 
 class View:
@@ -88,7 +66,7 @@ class View:
 
     __slots__ = ("_t", "_ids", "_tape_seed", "k", "_index")
 
-    def __init__(self, template: _ViewTemplate, ids, tape_seed: int, k: int):
+    def __init__(self, template: RootedSubgraph, ids, tape_seed: int, k: int):
         self._t = template
         self._ids = ids
         self._tape_seed = tape_seed
@@ -108,7 +86,7 @@ class View:
     def root_neighbor_ids(self) -> tuple[int, ...]:
         ids = self._ids
         nodes = self._t.nodes
-        return tuple(ids[nodes[j]] for j in self._t.adj[0])
+        return tuple(ids[nodes[j]] for j in self._t.graph.adj[0])
 
     def _local(self, node_id: int) -> int:
         if self._index is None:
@@ -121,7 +99,7 @@ class View:
         j = self._local(node_id)
         ids = self._ids
         nodes = self._t.nodes
-        return tuple(ids[nodes[i]] for i in self._t.adj[j])
+        return tuple(ids[nodes[i]] for i in self._t.graph.adj[j])
 
     def depth_of(self, node_id: int) -> int:
         return self._t.depth[self._local(node_id)]
@@ -131,7 +109,7 @@ class View:
         ids = self._ids
         nodes = self._t.nodes
         out = []
-        for j, nbrs in enumerate(self._t.adj):
+        for j, nbrs in enumerate(self._t.graph.adj):
             a = ids[nodes[j]]
             for i in nbrs:
                 b = ids[nodes[i]]

@@ -226,6 +226,10 @@ class CTGraph:
     skeleton: ClusterTreeSkeleton
     cluster_of: tuple[int, ...]
 
+    @property
+    def n(self) -> int:
+        return self.graph.n
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.graph.adj[v]
 

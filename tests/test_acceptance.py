@@ -22,7 +22,6 @@ from clustertree.lifts import (
     high_girth_regular,
     matching_decomposition,
     verify_covering_map,
-    view_pair,
 )
 from clustertree.localsim import (
     MAXM,
@@ -93,7 +92,8 @@ def lifted_pair_runs(lifted14):
 @pytest.fixture(scope="module")
 def radius2_pair_runs(g26):
     """10 sampled coupled walks on radius-2 views of the cyclic voltage
-    lift of the (2,6) graph (seed 0): (view forest, root 0, root 1, run)."""
+    lift of the (2,6) graph (seed 0), run on the implicit lift:
+    (lift, root 0, root 1, run)."""
     import random
 
     lift = VoltageLift(g26)
@@ -103,8 +103,7 @@ def radius2_pair_runs(g26):
     for _ in range(10):
         x0 = lift.node(rng.choice(groups[0]), rng.randrange(lift.p))
         x1 = lift.node(rng.choice(groups[1]), rng.randrange(lift.p))
-        forest, r0, r1 = view_pair(lift, 2, x0, x1)
-        runs.append((forest, r0, r1, find_isomorphism(forest, 2, r0, r1)))
+        runs.append((lift, x0, x1, find_isomorphism(lift, 2, x0, x1)))
     return runs
 
 
@@ -215,12 +214,11 @@ def test_criterion_05_high_girth_pipeline(lifted14, lifted_pair_runs):
 def test_criterion_05_special_case_trigger(radius2_pair_runs):
     t0 = time.perf_counter()
     failures = []
-    for forest, r0, r1, run in radius2_pair_runs:
-        # view_pair raises on a cycle; two trees have n - 2 edges
-        if forest.graph.edge_count() != forest.graph.n - 2:
+    for lift, r0, r1, run in radius2_pair_runs:
+        if not all(k_hop_subgraph(lift, x, 2).is_tree() for x in (r0, r1)):
             failures.append((r0, r1, "not two trees"))
         if run.forward[r0] != r1 or not verify_isomorphism(
-            forest, 2, r0, r1, run
+            lift, 2, r0, r1, run
         ):
             failures.append((r0, r1, "verify"))
     fired = sum(run.special_case_count() for *_, run in radius2_pair_runs)
@@ -245,7 +243,7 @@ def test_criterion_06_invariant_audit(
     runs = [
         (1, v0, v1, phi) for v0, v1, phi in base_pair_runs + lifted_pair_runs
     ]
-    runs += [(2, r0, r1, phi) for _forest, r0, r1, phi in radius2_pair_runs]
+    runs += [(2, r0, r1, phi) for _lift, r0, r1, phi in radius2_pair_runs]
     bad_classification = []
     bad_accounting = []
     classified = 0

@@ -1,12 +1,32 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
+import pytest
+
 from clustertree.cli import dispatch
+
+# sha256 of CLI outputs for fixed seeds. A refactor must leave them
+# identical byte for byte; a change that alters one on purpose updates
+# the digest and says why in CHANGES.md.
+GOLDEN = {
+    "pipeline-1-4": "078281dd7f5731444475b24039248946b507cd96c6e29ad6528f7628c3ca6cbe",
+    "pipeline-1-4-map": "47104c868a0a0988008d4e1ebc35b3460f51bbae78f8b3a0affce5bb02cab6ef",
+    "verify-iso-pipeline-1-4": "dd1c66efb0a6831b144bfd51a2d3419a2cb14f8624bc8a4b6871949fd88289f7",
+    "build-1-4": "0f091a7d403ed391c5a5fcaf546a0268b67a47732964d254e9be028971116415",
+    "build-1-4-double": "29afbd787381d6168d4fb1a57c45b331e5957ee68cfc1a63b81bcca79ba434c8",
+    "simulate-skip-local-max-vc": "6ba9b3433757236a0345cd0e224bc7490765905a1c825d7da24b6757db2fbb08",
+    "simulate-tape-greedy-mm-mm": "29055b80958972ade82f9f34b5cd1714568bda8268f10b6656eb4492e1a40421",
+}
 
 
 def run(args):
     return dispatch(args)
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_predict_prints_sizes(capsys):
@@ -162,6 +182,43 @@ def test_pipeline_then_verify_iso_end_to_end(tmp_path):
     assert doc["success"] is True and doc["pairs"] == 10
     phi = json.loads((tmp_path / "phi.json").read_text())["map"]
     assert len(phi) == json.loads(lifted.read_text())["n"]
+    assert sha256_of(lifted) == GOLDEN["pipeline-1-4"]
+    assert sha256_of(tmp_path / "phi.json") == GOLDEN["pipeline-1-4-map"]
+    assert sha256_of(report) == GOLDEN["verify-iso-pipeline-1-4"]
+
+
+def test_build_and_simulate_match_golden_digests(tmp_path):
+    gpath = tmp_path / "g.json"
+    dpath = tmp_path / "d.json"
+    assert run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)]) == 0
+    assert run(
+        ["build", "--k", "1", "--beta", "4", "--double", "--out", str(dpath)]
+    ) == 0
+    assert sha256_of(gpath) == GOLDEN["build-1-4"]
+    assert sha256_of(dpath) == GOLDEN["build-1-4-double"]
+    # one round is too few for tape-greedy-mm to reach a maximal matching
+    # in every trial, so that run exits 1
+    for alg, kind, code in (
+        ("skip-local-max", "vc", 0),
+        ("tape-greedy-mm", "mm", 1),
+    ):
+        rpath = tmp_path / f"{alg}.json"
+        assert run(
+            [
+                "simulate",
+                "--graph", str(gpath),
+                "--k", "1",
+                "--alg", alg,
+                "--kind", kind,
+                "--trials", "50",
+                "--seed", "0",
+                "--report", str(rpath),
+            ]
+        ) == code
+        doc = json.loads(rpath.read_text())
+        doc.pop("environment")  # interpreter, platform and input path
+        digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+        assert digest == GOLDEN[f"simulate-{alg}-{kind}"]
 
 
 def test_lift_pipeline_cap_failure(tmp_path, capsys):
@@ -233,3 +290,47 @@ def test_unknown_command_exits_2():
 
 def test_missing_required_flag_exits_2():
     assert run(["skeleton", "--k", "1"]) == 2
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "command, edit, extra, code",
+    [
+        ("verify-iso", lambda d: _without(d, "n"), [], 2),
+        ("simulate", lambda d: _without(d, "n"), [], 2),
+        ("verify-iso", lambda d: [d], [], 2),
+        ("simulate", lambda d: [d], [], 2),
+        ("verify-iso", lambda d: {**d, "meta": _without(d["meta"], "beta")}, [], 1),
+        ("verify-iso", lambda d: {**d, "clusters": d["clusters"][:50]}, [], 2),
+        ("verify-iso", lambda d: d, ["--v0", "100000", "--v1", "64"], 2),
+    ],
+    ids=[
+        "verify-iso-missing-n",
+        "simulate-missing-n",
+        "verify-iso-array",
+        "simulate-array",
+        "verify-iso-missing-beta",
+        "verify-iso-short-clusters",
+        "verify-iso-v0-out-of-range",
+    ],
+)
+def test_malformed_input_ends_in_one_line_error(
+    tmp_path, capsys, command, edit, extra, code
+):
+    gpath = tmp_path / "g.json"
+    assert run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(gpath.read_text()))))
+    capsys.readouterr()
+    args = {
+        "verify-iso": ["--k", "1", "--all-pairs-sample", "2"],
+        "simulate": ["--k", "1", "--alg", "skip-local-max", "--kind", "vc",
+                     "--trials", "2"],
+    }[command]
+    assert run([command, "--graph", str(bad), *args, *extra]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: " if code == 1 else "usage error: ")

@@ -1,0 +1,62 @@
+"""Random graph documents fed to the CLI: every run ends in an exit
+code, never in an escaped exception."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from clustertree.cli import dispatch
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def graph_documents(draw):
+    """Documents near the graph format: small CT-like graphs, each field
+    sometimes missing, the wrong type or out of range."""
+    n = draw(st.integers(0, 8))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    edges = []
+    if pairs:
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=12, unique_by=tuple))
+    # now and then a self-loop or an endpoint out of range
+    edges += draw(st.lists(st.sampled_from([[0, 0], [-1, 0], [0, n]]), max_size=1))
+    doc = {
+        "n": n,
+        "edges": edges,
+        "clusters": draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+        "meta": {
+            "k": draw(st.sampled_from([1, 1, 0, 2])),
+            "beta": draw(st.sampled_from([4, 4, 3, 6])),
+        },
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=2)):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(json_values)
+    return doc
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(doc=graph_documents() | json_values)
+def test_random_documents_end_in_an_exit_code(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["verify-iso", "--k", "1", "--all-pairs-sample", "2"],
+        ["simulate", "--k", "1", "--alg", "skip-local-max", "--kind", "vc",
+         "--trials", "2"],
+    ):
+        assert dispatch(argv + ["--graph", str(path)]) in (0, 1, 2)

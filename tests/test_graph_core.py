@@ -80,7 +80,7 @@ def test_k_hop_zero_radius():
     sub = k_hop_subgraph(K3, 1, 0)
     assert sub.nodes == (1,)
     assert sub.graph.edge_count() == 0
-    assert sub.depth_of == {1: 0}
+    assert sub.depth == (0,)
 
 
 def test_k_hop_triangle_excludes_far_edge():

@@ -13,6 +13,7 @@ from clustertree.iso import (
     unfold_view_tree,
     verify_isomorphism,
 )
+from clustertree.lifts import VoltageLift
 from clustertree.skeleton import CTGraph, INTERNAL, build_skeleton
 
 
@@ -32,6 +33,16 @@ def _union_ct(skel, k):
 @pytest.fixture(scope="module")
 def trees26():
     return _union_ct(build_skeleton(2, 6), 2)
+
+
+@pytest.fixture(scope="module")
+def radius2_inputs(trees26, g26):
+    """Radius-2 walk inputs (graph, v0, v1): the unfolded view trees side
+    by side, and one pair of the girth-6 voltage lift of the (2,6) graph."""
+    lift = VoltageLift(g26)
+    groups = g26.cluster_nodes()
+    pair = (lift, lift.node(groups[0][0], 0), lift.node(groups[1][0], 0))
+    return [trees26, pair]
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +154,7 @@ def test_canonical_form_rejects_non_trees():
 
 
 # ---------------------------------------------------------------------------
-# radius-2 behavior on skeleton-unfolded view trees
+# radius-2 behavior on skeleton-unfolded view trees and on the voltage lift
 # ---------------------------------------------------------------------------
 
 
@@ -158,73 +169,79 @@ def test_unfolded_tree_shape():
     assert tree.edge_count() == tree.n - 1
 
 
-def test_radius2_walk_verifies_and_matches_oracle(trees26):
-    ct, v0, v1 = trees26
-    phi = find_isomorphism(ct, 2, v0, v1)
-    assert verify_isomorphism(ct, 2, v0, v1, phi)
-    s0 = canonical_form(k_hop_subgraph(ct.graph, v0, 2))
-    s1 = canonical_form(k_hop_subgraph(ct.graph, v1, 2))
-    assert s0 == s1
+def test_radius2_walk_verifies_and_matches_oracle(radius2_inputs):
+    skel = build_skeleton(2, 6)
+    want = [
+        canonical_form_rooted(unfold_view_tree(skel, c, 2)[0], 0) for c in (0, 1)
+    ]
+    for ct, v0, v1 in radius2_inputs:
+        phi = find_isomorphism(ct, 2, v0, v1)
+        assert verify_isomorphism(ct, 2, v0, v1, phi)
+        s0 = canonical_form(k_hop_subgraph(ct, v0, 2))
+        s1 = canonical_form(k_hop_subgraph(ct, v1, 2))
+        assert s0 == s1
+        # concrete views have the shape the skeleton prescribes
+        assert [s0, s1] == want
 
 
-def test_radius2_repair_fires(trees26):
+def test_radius2_repair_fires(radius2_inputs):
     # mismatched histories at depth 1 force the leftover pairing
-    ct, v0, v1 = trees26
-    phi = find_isomorphism(ct, 2, v0, v1)
-    assert phi.special_case_count() > 0
+    for ct, v0, v1 in radius2_inputs:
+        phi = find_isomorphism(ct, 2, v0, v1)
+        assert phi.special_case_count() > 0
 
 
-def test_radius2_invariant_classification(trees26):
-    ct, v0, v1 = trees26
-    phi = find_isomorphism(ct, 2, v0, v1)
-    mid = [r for r in phi.audit if 0 < r.depth < 2]
-    assert mid
-    assert all(r.case in (1, 2) for r in mid)
-    # hand count for beta=6: the roots pair 1 + 6 children inside the
-    # base clusters (first case) and 36 children in the two clusters
-    # grown in round 2 (second case)
-    hist = {}
-    for r in mid:
-        hist[r.case] = hist.get(r.case, 0) + 1
-    assert hist == {1: 7, 2: 36}
-    # one first-case pair agrees on history, six do not
-    agree = [r for r in mid if r.case == 1 and r.history_v == r.history_w]
-    differ = [r for r in mid if r.case == 1 and r.history_v != r.history_w]
-    assert len(agree) == 1 and len(differ) == 6
-    # the root and the deepest layer stay unclassified
-    assert all(
-        r.case is None for r in phi.audit if r.depth in (0, 2)
-    )
+def test_radius2_invariant_classification(radius2_inputs):
+    for ct, v0, v1 in radius2_inputs:
+        phi = find_isomorphism(ct, 2, v0, v1)
+        mid = [r for r in phi.audit if 0 < r.depth < 2]
+        assert mid
+        assert all(r.case in (1, 2) for r in mid)
+        # hand count for beta=6: the roots pair 1 + 6 children inside the
+        # base clusters (first case) and 36 children in the two clusters
+        # grown in round 2 (second case)
+        hist = {}
+        for r in mid:
+            hist[r.case] = hist.get(r.case, 0) + 1
+        assert hist == {1: 7, 2: 36}
+        # one first-case pair agrees on history, six do not
+        agree = [r for r in mid if r.case == 1 and r.history_v == r.history_w]
+        differ = [r for r in mid if r.case == 1 and r.history_v != r.history_w]
+        assert len(agree) == 1 and len(differ) == 6
+        # the root and the deepest layer stay unclassified
+        assert all(
+            r.case is None for r in phi.audit if r.depth in (0, 2)
+        )
 
 
-def test_radius2_bucket_length_accounting(trees26):
-    ct, v0, v1 = trees26
-    phi = find_isomorphism(ct, 2, v0, v1)
-    checked = 0
-    for r in phi.audit:
-        if r.bucket_lens_v is None or r.history_v is None:
-            continue
-        checked += 1
-        lv, lw = r.bucket_lens_v, r.bucket_lens_w
-        if r.position_v == r.position_w and r.history_v == r.history_w:
-            assert lv == lw
-        elif (
-            r.position_v == INTERNAL
-            and r.position_w == INTERNAL
-            and r.history_v != r.history_w
-        ):
-            x, y = r.history_v, r.history_w
-            assert lv[x] == lw[x] - 1
-            assert lv[y] - 1 == lw[y]
-            assert all(
-                lv[i] == lw[i] for i in range(len(lv)) if i not in (x, y)
-            )
-        else:
-            raise AssertionError(
-                "pair disagrees on position or mixes leaf histories: "
-                f"{r}"
-            )
-    assert checked > 0
+def test_radius2_bucket_length_accounting(radius2_inputs):
+    for ct, v0, v1 in radius2_inputs:
+        phi = find_isomorphism(ct, 2, v0, v1)
+        checked = 0
+        for r in phi.audit:
+            if r.bucket_lens_v is None or r.history_v is None:
+                continue
+            checked += 1
+            lv, lw = r.bucket_lens_v, r.bucket_lens_w
+            if r.position_v == r.position_w and r.history_v == r.history_w:
+                assert lv == lw
+            elif (
+                r.position_v == INTERNAL
+                and r.position_w == INTERNAL
+                and r.history_v != r.history_w
+            ):
+                x, y = r.history_v, r.history_w
+                assert lv[x] == lw[x] - 1
+                assert lv[y] - 1 == lw[y]
+                assert all(
+                    lv[i] == lw[i] for i in range(len(lv)) if i not in (x, y)
+                )
+            else:
+                raise AssertionError(
+                    "pair disagrees on position or mixes leaf histories: "
+                    f"{r}"
+                )
+        assert checked > 0
 
 
 def test_radius2_other_parameter():
@@ -234,8 +251,8 @@ def test_radius2_other_parameter():
     phi = find_isomorphism(ct, 2, v0, v1)
     assert verify_isomorphism(ct, 2, v0, v1, phi)
     assert phi.special_case_count() > 0
-    assert canonical_form(k_hop_subgraph(ct.graph, v0, 2)) == canonical_form(
-        k_hop_subgraph(ct.graph, v1, 2)
+    assert canonical_form(k_hop_subgraph(ct, v0, 2)) == canonical_form(
+        k_hop_subgraph(ct, v1, 2)
     )
     assert all(r.case in (1, 2) for r in phi.audit if 0 < r.depth < 2)
 

@@ -6,7 +6,6 @@ from clustertree.errors import (
     BoundViolatedError,
     DegreeMismatchError,
     EmptyGraphError,
-    NotATreeError,
     NotBipartiteError,
     NotRegularError,
     SizeCapExceededError,
@@ -18,7 +17,7 @@ from clustertree.graph import (
     girth_at_least,
     k_hop_subgraph,
 )
-from clustertree.iso import canonical_form, find_isomorphism, verify_isomorphism
+from clustertree.iso import find_isomorphism, verify_isomorphism
 from clustertree.lifts import (
     CoveringMap,
     VoltageLift,
@@ -30,7 +29,6 @@ from clustertree.lifts import (
     matching_decomposition,
     regular_supergraph,
     verify_covering_map,
-    view_pair,
 )
 from clustertree.skeleton import CTGraph, validate_ct_graph
 
@@ -442,31 +440,29 @@ def test_voltage_lift_neighbors_project_onto_base(g26):
         assert all(x in lift.neighbors(y) for y in nbrs)
 
 
-def test_view_pair_matches_k_hop_views(voltage14):
+def test_lift_views_match_materialized_views(voltage14):
+    # the implicit lift and its materialized graph give the same views,
+    # node for node and list for list
     lift, ct, _ = voltage14
     groups = ct.cluster_nodes()
-    pairs = ((groups[0][0], groups[1][0]), (groups[0][-1], groups[1][77]))
-    for x0, x1 in pairs:
-        forest, r0, r1 = view_pair(lift, 2, x0, x1)
-        assert forest.graph.edge_count() == forest.graph.n - 2
-        for x, r in ((x0, r0), (x1, r1)):
-            want = k_hop_subgraph(ct.graph, x, 2)
-            got = k_hop_subgraph(forest.graph, r, 2)
-            assert canonical_form(got) == canonical_form(want)
-            assert sorted(forest.cluster_of[i] for i in got.nodes) == sorted(
-                ct.cluster_of[y] for y in want.nodes
-            )
+    for x in (groups[0][0], groups[0][-1], groups[1][77], groups[3][5]):
+        for k in (1, 2, 3):
+            got = k_hop_subgraph(lift, x, k)
+            want = k_hop_subgraph(ct.graph, x, k)
+            assert got.nodes == want.nodes
+            assert got.depth == want.depth
+            assert got.graph.adj == want.graph.adj
 
 
-def test_view_pair_rejects_cycles(g14, voltage14):
+def test_k_hop_is_tree_detects_cycles(g14, voltage14):
     # radius-1 views are stars even at girth 4
-    forest, _, _ = view_pair(g14, 1, 0, 64)
-    assert forest.graph.n == 2 + g14.graph.degree(0) + g14.graph.degree(64)
-    with pytest.raises(NotATreeError):
-        view_pair(g14, 2, 0, 64)
-    # the lift has girth 6, and a 6-cycle through this node closes
-    # inside its radius-3 view
+    star = k_hop_subgraph(g14, 0, 1)
+    assert star.is_tree() and len(star.nodes) == 1 + g14.graph.degree(0)
+    assert not k_hop_subgraph(g14, 0, 2).is_tree()
+    # the lift has girth 6: radius-2 views are trees, and a 6-cycle
+    # through this node closes inside its radius-3 view
     lift, ct, _ = voltage14
     groups = ct.cluster_nodes()
-    with pytest.raises(NotATreeError):
-        view_pair(lift, 3, groups[0][0], groups[1][0])
+    x = groups[0][0]
+    assert k_hop_subgraph(lift, x, 2).is_tree()
+    assert not k_hop_subgraph(lift, x, 3).is_tree()
