@@ -30,15 +30,20 @@ def _write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def _load_ct(path: str) -> sk.CTGraph:
-    gf = read_graph_json(path)
-    if gf.clusters is None or not gf.meta or not all(
+def _meta_skeleton(gf, path: str) -> sk.ClusterTreeSkeleton:
+    """The skeleton named by a graph file's integer k/beta metadata."""
+    if not gf.meta or not all(
         type(gf.meta.get(key)) is int for key in ("k", "beta")
     ):
-        raise ClusterTreeError(
-            f"{path} lacks cluster assignments or k/beta metadata"
-        )
-    skel = sk.build_skeleton(gf.meta["k"], gf.meta["beta"])
+        raise ClusterTreeError(f"{path} lacks integer k/beta metadata")
+    return sk.build_skeleton(gf.meta["k"], gf.meta["beta"])
+
+
+def _load_ct(path: str) -> sk.CTGraph:
+    gf = read_graph_json(path)
+    if gf.clusters is None:
+        raise ClusterTreeError(f"{path} lacks cluster assignments")
+    skel = _meta_skeleton(gf, path)
     if max(gf.clusters, default=0) >= len(skel.clusters):
         raise ClusterTreeError(
             f"{path} carries cluster ids outside its skeleton "
@@ -234,7 +239,7 @@ def _cmd_export_dot(args) -> int:
         gf = read_graph_json(args.graph)
         levels = None
         if gf.meta and "k" in gf.meta:
-            skel = sk.build_skeleton(int(gf.meta["k"]), int(gf.meta["beta"]))
+            skel = _meta_skeleton(gf, args.graph)
             levels = {c.id: c.level for c in skel.clusters}
             if gf.clusters and max(gf.clusters) >= len(skel.clusters):
                 # doubled graph: mirror clusters reuse the base levels

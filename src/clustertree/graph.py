@@ -408,7 +408,8 @@ def write_graph_json(
     meta: dict | None = None,
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json_dict(g, clusters, meta), fh)
+        # dumps runs the C encoder; dump would run the pure-Python one
+        fh.write(json.dumps(graph_to_json_dict(g, clusters, meta)))
         fh.write("\n")
 
 

@@ -65,11 +65,12 @@ def verify_covering_map(cm: CoveringMap) -> bool:
         fibers[t] += 1
     if tgt.n > 0 and min(fibers) == 0:
         return False
+    # target lists hold no duplicates, so equal sorted images mean the
+    # neighbours map one-to-one onto the target neighbourhood
+    want = [sorted(nbrs) for nbrs in tgt.adj]
+    image = phi.__getitem__
     for v in range(src.n):
-        images = [phi[w] for w in src.adj[v]]
-        if len(set(images)) != len(images):
-            return False
-        if set(images) != set(tgt.adj[phi[v]]):
+        if sorted(map(image, src.adj[v])) != want[phi[v]]:
             return False
     if tgt.n > 0 and len(tgt.connected_components()) == 1:
         if len(set(fibers)) > 1:
@@ -122,11 +123,10 @@ def canonical_double_cover(g: Graph) -> tuple[Graph, CoveringMap]:
     forgetting the bit.
     """
     n = g.n
-    edges: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        edges.append((u, n + v))
-        edges.append((v, n + u))
-    cover = Graph.from_edges(2 * n, edges)
+    # (v, 0) is adjacent to (w, 1) for every neighbour w of v, and back
+    adj = [tuple(n + w for w in nbrs) for nbrs in g.adj]
+    adj.extend(g.adj)
+    cover = Graph(2 * n, adj)
     cm = CoveringMap(
         source=cover, target=g, map=tuple(i % n for i in range(2 * n))
     )
@@ -147,7 +147,6 @@ def common_lift(
     d2 = _require_regular(h_prime)
     if d1 != d2:
         raise DegreeMismatchError(f"degrees differ: {d1} vs {d2}")
-    delta = d1
 
     def bipartite_stage(g: Graph) -> tuple[Graph, tuple[int, ...] | None]:
         if g.two_coloring() is not None:
@@ -161,18 +160,29 @@ def common_lift(
     m2 = matching_decomposition(b2)
     n1, n2 = b1.n, b2.n
 
-    edges: list[tuple[int, int]] = []
-    for i in range(delta):
-        partner2 = [0] * n2
-        for w, w2 in m2[i]:
-            partner2[w] = w2
-            partner2[w2] = w
-        for v, v2 in m1[i]:
-            base_v = v * n2
-            base_v2 = v2 * n2
-            for w in range(n2):
-                edges.append((base_v + w, base_v2 + partner2[w]))
-    lifted = Graph.from_edges(n1 * n2, edges)
+    def partners(matchings, size: int) -> list[list[int]]:
+        # one mate array per perfect matching
+        out = []
+        for matching in matchings:
+            mate = [0] * size
+            for a, b in matching:
+                mate[a] = b
+                mate[b] = a
+            out.append(mate)
+        return out
+
+    # node (v, w) has exactly one neighbour per matching index i, and the
+    # matchings of b1 are edge-disjoint, so the lift is simple as built
+    mates1 = partners(m1, n1)
+    mates2 = partners(m2, n2)
+    adj: list[tuple[int, ...]] = []
+    for v in range(n1):
+        rows = [
+            [mate1[v] * n2 + w2 for w2 in mate2]
+            for mate1, mate2 in zip(mates1, mates2)
+        ]
+        adj.extend(tuple(sorted(nbrs)) for nbrs in zip(*rows))
+    lifted = Graph(n1 * n2, adj)
 
     def project(first: bool) -> CoveringMap:
         if first:
@@ -328,9 +338,23 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
         )
     n = 2 * m
     adj: list[set[int]] = [set() for _ in range(n)]
+    # mask[v] has bit w set iff w is adjacent to v; kept in step with adj
+    mask = [0] * n
+
+    def link(u: int, w: int) -> None:
+        adj[u].add(w)
+        adj[w].add(u)
+        mask[u] |= 1 << w
+        mask[w] |= 1 << u
+
+    def unlink(u: int, w: int) -> None:
+        adj[u].remove(w)
+        adj[w].remove(u)
+        mask[u] &= ~(1 << w)
+        mask[w] &= ~(1 << u)
+
     for v in range(n):
-        adj[v].add((v + 1) % n)
-        adj[(v + 1) % n].add(v)
+        link(v, (v + 1) % n)
 
     def bfs_ball(starts: list[int], radius: int) -> set[int]:
         dist = {s: 0 for s in starts}
@@ -345,18 +369,33 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
                     queue.append(w)
         return set(dist)
 
-    def distances_from(s: int) -> dict[int, int]:
-        dist = {s: 0}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
     far = n + 1  # stands in for infinite distance between components
+
+    def farthest(u: int, cands: int) -> tuple[int, int]:
+        """Distance from u to its farthest candidate (bitmask ``cands``,
+        nonempty) and the smallest candidate at that distance.
+
+        Grows BFS layers as bitmasks and stops once every candidate has
+        been reached; candidates never reached are at distance ``far``.
+        """
+        seen = frontier = 1 << u
+        dist = best = hit = 0
+        while cands and frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= mask[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+            dist += 1
+            met = frontier & cands
+            if met:
+                best, hit = dist, met & -met
+                cands ^= met
+        if cands:
+            best, hit = far, cands & -cands
+        return best, hit.bit_length() - 1
 
     for target in range(3, delta + 1):
         ops = 0
@@ -370,25 +409,25 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
                 raise IterationLimitError(
                     "degree-raising loop exceeded its defensive cap; bug"
                 )
-            # best addable pair: maximum pairwise distance, then smallest pair
+            # best addable pair: maximum pairwise distance, then smallest
+            # pair; scanning u ascending and keeping only strictly farther
+            # pairs gives that tie-break
             best_pair: tuple[int, int] | None = None
             best_dist = -1
-            dset = set(deficient)
+            above = 0  # deficient nodes greater than u
+            for v in deficient:
+                above |= 1 << v
             for u in deficient:
-                dist = distances_from(u)
-                for v in deficient:
-                    if v <= u or v in adj[u]:
-                        continue
-                    d = dist.get(v, far)
-                    if d > best_dist or (
-                        d == best_dist and (u, v) < best_pair
-                    ):
-                        best_dist = d
-                        best_pair = (u, v)
+                above ^= 1 << u
+                cands = above & ~mask[u]
+                if not cands:
+                    continue
+                d, v = farthest(u, cands)
+                if d > best_dist:
+                    best_dist = d
+                    best_pair = (u, v)
             if best_pair is not None and best_dist >= girth_target - 1:
-                u, v = best_pair
-                adj[u].add(v)
-                adj[v].add(u)
+                link(*best_pair)
                 continue
             # stuck: swap an edge remote from the two smallest deficient nodes
             vp, wp = deficient[0], deficient[1]
@@ -410,12 +449,9 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
                     "no swappable edge outside the deficient balls; bug"
                 )
             x, y = swap
-            adj[x].remove(y)
-            adj[y].remove(x)
-            adj[x].add(vp)
-            adj[vp].add(x)
-            adj[y].add(wp)
-            adj[wp].add(y)
+            unlink(x, y)
+            link(x, vp)
+            link(y, wp)
 
     out = Graph(n, [tuple(sorted(nbrs)) for nbrs in adj])
     if any(len(nbrs) != delta for nbrs in out.adj):
@@ -472,14 +508,19 @@ def build_high_girth_ct(
     high = high_girth_regular(delta, 2 * k + 1, m_min)
     lifted, psi1, _psi2 = common_lift(super_graph, high)
 
-    keep = [v for v in range(lifted.n) if psi1.map[v] < base.n]
-    index = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for u, v in lifted.edges():
-        pu, pv = psi1.map[u], psi1.map[v]
-        if pu < base.n and pv < base.n and base.has_edge(pu, pv):
-            edges.append((index[u], index[v]))
-    restricted = Graph.from_edges(len(keep), edges)
+    proj = psi1.map
+    keep = [v for v in range(lifted.n) if proj[v] < base.n]
+    index = [-1] * lifted.n
+    for new, old in enumerate(keep):
+        index[old] = new
+    # keep the lifted edges over base edges; index is increasing on keep,
+    # so the restricted lists stay sorted
+    base_nbrs = [set(nbrs) for nbrs in base.adj]
+    adj = []
+    for v in keep:
+        over = base_nbrs[proj[v]]
+        adj.append(tuple(index[w] for w in lifted.adj[v] if proj[w] in over))
+    restricted = Graph(len(keep), adj)
     phi = CoveringMap(
         source=restricted,
         target=base,

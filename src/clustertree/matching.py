@@ -6,7 +6,6 @@ is sorted, so the matchings extracted here are reproducible.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 
 from .errors import NotBipartiteError
@@ -48,25 +47,36 @@ def hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
                     queue.append(nxt)
         return found
 
-    def dfs(u: int) -> bool:
-        for w in g.adj[u]:
-            nxt = mate.get(w)
-            if nxt is None or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                mate[u] = w
-                mate[w] = u
-                return True
-        dist[u] = _INF
-        return False
+    def augment(root: int) -> None:
+        # depth-first search for an augmenting path along the BFS layers,
+        # with an explicit stack; path[i] is the mate tried at stack[i]
+        stack = [(root, iter(g.adj[root]))]
+        path: list[int] = []
+        while stack:
+            u, nbrs = stack[-1]
+            for w in nbrs:
+                nxt = mate.get(w)
+                if nxt is None:
+                    path.append(w)
+                    # flip the path, deepest pair first
+                    for (x, _), y in zip(reversed(stack), reversed(path)):
+                        mate[x] = y
+                        mate[y] = x
+                    return
+                if dist[nxt] == dist[u] + 1:
+                    path.append(w)
+                    stack.append((nxt, iter(g.adj[nxt])))
+                    break
+            else:
+                dist[u] = _INF
+                stack.pop()
+                if path:
+                    path.pop()
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, g.n + 100))
-    try:
-        while bfs():
-            for u in left:
-                if u not in mate:
-                    dfs(u)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    while bfs():
+        for u in left:
+            if u not in mate:
+                augment(u)
     return mate
 
 

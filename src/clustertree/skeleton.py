@@ -373,13 +373,57 @@ def skeleton_to_json_dict(skel: ClusterTreeSkeleton) -> dict:
     }
 
 
+_SKELETON_RECORDS = {
+    "clusters": {"id": int, "level": int, "position": str},
+    "edges": {"a": int, "b": int, "exp_a": int, "exp_b": int},
+}
+
+
+def _check_skeleton_doc(doc) -> None:
+    """Raise ValueError unless ``doc`` is shaped like a written skeleton:
+    integer k and beta, clusters with ids 0..n-1, and edges that join
+    clusters one level apart and give every cluster but 0 a parent."""
+    if not (
+        isinstance(doc, dict)
+        and type(doc.get("k")) is int
+        and type(doc.get("beta")) is int
+    ):
+        raise ValueError("skeleton document needs integer 'k' and 'beta'")
+    for key, fields in _SKELETON_RECORDS.items():
+        records = doc.get(key)
+        if not isinstance(records, list) or not all(
+            isinstance(r, dict)
+            and all(type(r.get(f)) is t for f, t in fields.items())
+            for r in records
+        ):
+            raise ValueError(
+                f"'{key}' must be a list of objects with {', '.join(fields)}"
+            )
+    ids = [c["id"] for c in doc["clusters"]]
+    if sorted(ids) != list(range(len(ids))):
+        raise ValueError("cluster ids must be 0..n-1, each once")
+    level = {c["id"]: c["level"] for c in doc["clusters"]}
+    children = set()
+    for e in doc["edges"]:
+        la, lb = level.get(e["a"]), level.get(e["b"])
+        if la is None or lb is None or abs(la - lb) != 1:
+            raise ValueError(
+                f"edge {e['a']}-{e['b']} must join clusters one level apart"
+            )
+        children.add(e["a"] if la > lb else e["b"])
+    if children != set(range(1, len(ids))):
+        raise ValueError("every cluster but 0 needs an edge to its parent")
+
+
 def skeleton_from_json_dict(doc: dict) -> ClusterTreeSkeleton:
     """Rebuild a skeleton, re-deriving parent and creation-round tags.
 
     The base clusters (ids 0..3) are round 1; any other cluster was added
     in round max(parent round + 1, parent-side exponent), which separates
-    the two growth rules without storing the rounds on disk.
+    the two growth rules without storing the rounds on disk. A document
+    of any other shape raises ValueError.
     """
+    _check_skeleton_doc(doc)
     k, beta = doc["k"], doc["beta"]
     levels = {c["id"]: c["level"] for c in doc["clusters"]}
     positions = {c["id"]: c["position"] for c in doc["clusters"]}

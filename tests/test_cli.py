@@ -306,6 +306,8 @@ def _without(doc, key):
         ("verify-iso", lambda d: {**d, "meta": _without(d["meta"], "beta")}, [], 1),
         ("verify-iso", lambda d: {**d, "clusters": d["clusters"][:50]}, [], 2),
         ("verify-iso", lambda d: d, ["--v0", "100000", "--v1", "64"], 2),
+        ("export-dot", lambda d: {**d, "meta": {**d["meta"], "k": [1]}}, [], 1),
+        ("export-dot --skeleton", lambda d: {"k": 1}, [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -315,6 +317,8 @@ def _without(doc, key):
         "verify-iso-missing-beta",
         "verify-iso-short-clusters",
         "verify-iso-v0-out-of-range",
+        "export-dot-k-not-an-int",
+        "export-dot-skeleton-missing-beta",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(
@@ -329,8 +333,11 @@ def test_malformed_input_ends_in_one_line_error(
         "verify-iso": ["--k", "1", "--all-pairs-sample", "2"],
         "simulate": ["--k", "1", "--alg", "skip-local-max", "--kind", "vc",
                      "--trials", "2"],
-    }[command]
-    assert run([command, "--graph", str(bad), *args, *extra]) == code
+        "export-dot": ["--out", str(tmp_path / "out.dot")],
+    }
+    # a command may name its input flag after a space; --graph otherwise
+    command, _, flag = command.partition(" ")
+    assert run([command, flag or "--graph", str(bad), *args[command], *extra]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: " if code == 1 else "usage error: ")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import sys
+
 import pytest
 
 from clustertree.errors import (
@@ -17,6 +20,7 @@ from clustertree.graph import (
     girth_at_least,
     k_hop_subgraph,
 )
+from clustertree.graph import write_graph_json
 from clustertree.iso import find_isomorphism, verify_isomorphism
 from clustertree.lifts import (
     CoveringMap,
@@ -30,6 +34,7 @@ from clustertree.lifts import (
     regular_supergraph,
     verify_covering_map,
 )
+from clustertree.matching import hopcroft_karp
 from clustertree.skeleton import CTGraph, validate_ct_graph
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -65,6 +70,22 @@ def test_decomposition_k33():
         covered = {x for e in m for x in e}
         assert len(covered) == 6
     assert sorted(e for m in ms for e in m) == K33.edges()
+
+
+def test_hopcroft_karp_long_augmenting_path(monkeypatch):
+    # left nodes 2, 4, ... each grab their lower neighbour in the first
+    # phase; node 0 is then matched by one augmenting path through the
+    # whole 20,000-node path, 10,000 levels deep
+    n = 20_000
+    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+    def forbid(limit):
+        raise AssertionError("hopcroft_karp changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", forbid)
+    mate = hopcroft_karp(path, [*range(2, n, 2), 0])
+    assert len(mate) == n
+    assert all(mate[u] == u + 1 and mate[u + 1] == u for u in range(0, n, 2))
 
 
 def test_decomposition_rejects_bad_inputs():
@@ -136,6 +157,29 @@ def test_verify_rejects_bad_maps():
     c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
     bad = CoveringMap(source=c6, target=K3, map=(0, 1, 2, 0, 2, 1))
     assert not verify_covering_map(bad)
+
+
+def test_verify_rejects_neighbourhoods_that_do_not_biject():
+    # the target P3 plus an isolated node is disconnected, so no fibre
+    # check applies: the star's centre maps its three leaves onto the two
+    # target neighbours of node 1, repeating node 0
+    p3_plus = Graph.from_edges(4, [(0, 1), (1, 2)])
+    star_plus = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
+    assert not verify_covering_map(
+        CoveringMap(source=star_plus, target=p3_plus, map=(1, 0, 2, 0, 3))
+    )
+    # the 6-node path wraps twice around the triangle but its end nodes
+    # miss one target neighbour each
+    p6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    assert not verify_covering_map(
+        CoveringMap(source=p6, target=K3, map=tuple(i % 3 for i in range(6)))
+    )
+    # a bijection of the hexagon that swaps nodes 3 and 4: node 2 keeps
+    # two distinct images, 1 and 4, where the target has 1 and 3
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    assert not verify_covering_map(
+        CoveringMap(source=c6, target=c6, map=(0, 1, 2, 4, 3, 5))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +304,26 @@ def test_high_girth_deterministic():
     assert a.edges() == b.edges()
 
 
+# sha256 of repr(high_girth_regular(d, g, m).edges()), recorded before
+# the pair search moved to bitmask BFS layers; (25, 3, 50) is the
+# generator call of the (1,5) pipeline
+HIGH_GIRTH_DIGESTS = {
+    (16, 3, 32): "2bb0bf86fd22c6728a42b1d82622a21fca1acd9ef2e25dade22c7c7778be0ee8",
+    (25, 3, 50): "e1ba98d23e8dced38022d790fc8e860f916665cb15f9d144d5756b18930c68ae",
+    (4, 5, 80): "6ab656fdbff1b84c84962bb4cb478c036c1d30d56960649a685d7d6d67156d5a",
+    (3, 6, 64): "37c63680cc3cf0aeb0a3e339200d44f154b518c0de4c59fb89d503e4899c2908",
+}
+
+
+@pytest.mark.parametrize(
+    "params", sorted(HIGH_GIRTH_DIGESTS), ids=lambda p: "-".join(map(str, p))
+)
+def test_high_girth_edges_match_recorded_digests(params):
+    edges = high_girth_regular(*params).edges()
+    digest = hashlib.sha256(repr(edges).encode()).hexdigest()
+    assert digest == HIGH_GIRTH_DIGESTS[params]
+
+
 def test_high_girth_bound_violation():
     with pytest.raises(BoundViolatedError):
         high_girth_regular(3, 5, 10)
@@ -350,10 +414,18 @@ def test_pipeline_views_are_trees(lifted14):
         assert sub.graph.edge_count() == len(sub.nodes) - 1
 
 
-def test_pipeline_with_odd_degree():
+def test_pipeline_with_odd_degree(tmp_path):
     # beta 5 gives degree 25, driving the odd-deficiency gadget of the
     # supergraph step through the whole stack
     ct, phi = build_high_girth_ct(1, 5)
+    # the bytes `lift --op pipeline --k 1 --beta 5` writes, as recorded
+    # before the generator, lift and JSON writer were sped up
+    out = tmp_path / "g15.json"
+    meta = {"k": 1, "beta": 5, "stage": "high-girth"}
+    write_graph_json(str(out), ct.graph, ct.cluster_of, meta)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "87fabbc6216902c0e10f72ac28332dd61c02799ba002c7858aea411ef2174454"
+    )
     assert ct.graph.n % 180 == 0
     assert validate_ct_graph(ct).ok
     assert verify_covering_map(phi)

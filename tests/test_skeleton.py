@@ -165,6 +165,44 @@ def test_skeleton_json_round_trip():
         assert back.out_label == skel.out_label
 
 
+def _edited_skeleton_doc(edit):
+    doc = skeleton_to_json_dict(build_skeleton(1, 4))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 4],
+        {"k": 1},
+        _edited_skeleton_doc(lambda d: d.update(k="1")),
+        _edited_skeleton_doc(lambda d: d.pop("edges")),
+        _edited_skeleton_doc(lambda d: d["clusters"][2].pop("level")),
+        _edited_skeleton_doc(lambda d: d["edges"].append(7)),
+        _edited_skeleton_doc(lambda d: d["clusters"][3].update(id=9)),
+        _edited_skeleton_doc(lambda d: d["edges"][2].update(b=9)),
+        _edited_skeleton_doc(lambda d: d["edges"][2].update(b=2)),
+        _edited_skeleton_doc(lambda d: d["edges"].pop()),
+    ],
+    ids=[
+        "array",
+        "missing-beta",
+        "k-a-string",
+        "missing-edges",
+        "cluster-missing-level",
+        "edge-not-an-object",
+        "ids-not-dense",
+        "edge-to-unknown-cluster",
+        "edge-within-one-level",
+        "cluster-without-parent",
+    ],
+)
+def test_skeleton_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        skeleton_from_json_dict(doc)
+
+
 def test_skeleton_dot_has_port_style_labels():
     text = skeleton_to_dot(build_skeleton(1, 4))
     assert 'taillabel="0"' in text and 'headlabel="1"' in text
