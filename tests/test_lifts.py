@@ -19,8 +19,8 @@ from clustertree.graph import (
     girth,
     girth_at_least,
     k_hop_subgraph,
+    write_graph_json,
 )
-from clustertree.graph import write_graph_json
 from clustertree.iso import find_isomorphism, verify_isomorphism
 from clustertree.lifts import (
     CoveringMap,
@@ -48,6 +48,12 @@ PETERSEN = Graph.from_edges(
      (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
      (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
 )
+
+
+def assert_simple(g: Graph) -> None:
+    """The adjacency a trusted build passed to Graph(n, adj) is simple,
+    symmetric and sorted: exactly what from_edges builds from its edges."""
+    assert g.adj == Graph.from_edges(g.n, g.edges()).adj
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +128,7 @@ def test_double_cover_of_triangle_is_hexagon():
 def test_double_cover_of_petersen():
     cover, cm = canonical_double_cover(PETERSEN)
     assert cover.n == 20
+    assert_simple(cover)
     assert {cover.degree(v) for v in range(20)} == {3}
     assert cover.two_coloring() is not None
     assert girth_at_least(cover, 5)
@@ -198,6 +205,7 @@ def test_common_lift_c4_c4():
 def test_common_lift_k4_k33():
     lifted, cm1, cm2 = common_lift(K4, K33)
     assert lifted.n <= 4 * 4 * 6
+    assert_simple(lifted)
     assert {lifted.degree(v) for v in range(lifted.n)} == {3}
     assert verify_covering_map(cm1)
     assert verify_covering_map(cm2)
@@ -382,6 +390,7 @@ def test_pipeline_output_is_ct_graph(lifted14, g14):
     ct, phi = lifted14
     assert validate_ct_graph(ct).ok
     assert verify_covering_map(phi)
+    assert_simple(ct.graph)
     assert phi.target is not None
     assert phi.target.edges() == g14.graph.edges()
 
