@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -39,24 +40,29 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on nodes ``0..n-1`` from an edge list.
 
-        Rejects self-loops, duplicate edges and out-of-range endpoints.
+        Rejects endpoints that are not ints (``type(u) is int`` keeps JSON
+        booleans out), self-loops, duplicate edges and out-of-range
+        endpoints.
         """
         if n < 0:
             raise ValueError("node count must be nonnegative")
         adj: list[list[int]] = [[] for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        return cls(n, [tuple(sorted(nbrs)) for nbrs in adj])
+        # a repeated edge shows up as equal neighbours in a sorted list
+        for u, nbrs in enumerate(adj):
+            nbrs.sort()
+            if any(map(operator.eq, nbrs, nbrs[1:])):
+                w = next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
+                raise ValueError(f"duplicate edge {(min(u, w), max(u, w))}")
+        return cls(n, list(map(tuple, adj)))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -173,16 +179,6 @@ class RootedSubgraph:
     def is_tree(self) -> bool:
         # a ball around one root is connected
         return self.graph.edge_count() == len(self.nodes) - 1
-
-    def node_set(self) -> set[int]:
-        return set(self.nodes)
-
-    def edge_set(self) -> set[frozenset[int]]:
-        """Edges in host node indices."""
-        return {
-            frozenset((self.nodes[u], self.nodes[v]))
-            for u, v in self.graph.edges()
-        }
 
 
 def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
@@ -353,7 +349,10 @@ def graph_to_json_dict(
     clusters: Iterable[int] | None = None,
     meta: dict | None = None,
 ) -> dict:
-    doc: dict = {"n": g.n, "edges": [list(e) for e in g.edges()]}
+    doc: dict = {
+        "n": g.n,
+        "edges": [[u, v] for u, nbrs in enumerate(g.adj) for v in nbrs if u < v],
+    }
     if clusters is not None:
         clusters = list(clusters)
         if len(clusters) != g.n:
@@ -375,13 +374,7 @@ def graph_from_json_dict(doc) -> GraphFile:
     if type(n) is not int or n < 0:
         raise ValueError("graph document needs a nonnegative integer 'n'")
     edges = doc.get("edges")
-    try:
-        pairs_ok = isinstance(edges, list) and all(
-            type(u) is int and type(v) is int for u, v in edges
-        )
-    except (TypeError, ValueError):  # an entry that does not unpack to two
-        pairs_ok = False
-    if not pairs_ok:
+    if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of [u, v] integer pairs")
     clusters = doc.get("clusters")
     if clusters is not None and not (
@@ -393,7 +386,10 @@ def graph_from_json_dict(doc) -> GraphFile:
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("'meta' must be a JSON object")
-    g = Graph.from_edges(n, edges)
+    try:
+        g = Graph.from_edges(n, edges)
+    except (TypeError, ValueError) as exc:  # unpacking an entry raises either
+        raise ValueError(f"bad 'edges' entry: {exc}") from None
     return GraphFile(
         graph=g,
         clusters=None if clusters is None else tuple(clusters),

@@ -75,14 +75,6 @@ class PartialIsomorphism:
         return hist
 
 
-def _neighbor_exponents(skel: ClusterTreeSkeleton) -> dict[int, dict[int, int]]:
-    """cluster -> {adjacent cluster -> outgoing exponent toward it}"""
-    table: dict[int, dict[int, int]] = {}
-    for cid, by_exp in skel.out_label.items():
-        table[cid] = {other: exp for exp, other in by_exp.items()}
-    return table
-
-
 def find_isomorphism(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
     """Run the coupled walk and return the view bijection v0 -> v1.
 
@@ -107,7 +99,7 @@ def find_isomorphism(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
         if not k_hop_subgraph(ct, v, k).is_tree():
             raise GirthTooLowError(f"the {k}-hop view of node {v} is not a tree")
 
-    toward = _neighbor_exponents(skel)
+    toward = skel.out_exponent
     clusters = skel.clusters
     width = k + 2
 
@@ -240,29 +232,26 @@ def verify_isomorphism(
     """Definitional check that ``phi`` is a view isomorphism v0 -> v1.
 
     ``ct`` is a ``CTGraph`` or a ``VoltageLift``. Confirms that the
-    forward map is a bijection from exactly the nodes of the k-hop view
-    of v0 onto those of v1, sends v0 to v1, and maps edges to edges in
-    both directions.
+    forward map sends v0 to v1 and is a bijection from exactly the nodes
+    of the k-hop view of v0 onto those of v1, and that every node's
+    neighbours map onto exactly the neighbours of its image.
     """
     sub0 = k_hop_subgraph(ct, v0, k)
     sub1 = k_hop_subgraph(ct, v1, k)
     f = phi.forward
-    if f.get(v0) != v1:
+    if f.get(v0) != v1 or len(f) != len(sub0.nodes):
         return False
-    if set(f.keys()) != sub0.node_set():
+    local1 = {u: i for i, u in enumerate(sub1.nodes)}
+    try:
+        # view-1 local index of each view-0 node's image
+        image = [local1[f[u]] for u in sub0.nodes]
+    except KeyError:  # a view-0 node has no image, or one outside view 1
         return False
-    images = list(f.values())
-    if len(set(images)) != len(images):
+    if len(image) != len(sub1.nodes) or len(set(image)) != len(image):
         return False
-    if set(images) != sub1.node_set():
-        return False
-    e0 = sub0.edge_set()
-    e1 = sub1.edge_set()
-    if len(e0) != len(e1):
-        return False
-    for edge in e0:
-        u, w = tuple(edge)
-        if frozenset((f[u], f[w])) not in e1:
+    adj1 = sub1.graph.adj
+    for i, nbrs in enumerate(sub0.graph.adj):
+        if tuple(sorted(map(image.__getitem__, nbrs))) != adj1[image[i]]:
             return False
     return True
 

@@ -197,14 +197,13 @@ def common_lift(
 
     cm1 = project(True)
     cm2 = project(False)
-    for cm, base in ((cm1, h), (cm2, h_prime)):
+    for cm in (cm1, cm2):
         if not verify_covering_map(cm):
             raise ClusterTreeError("constructed projection is not a covering map")
-        base_girth = girth(base)
-        if not isinstance(base_girth, int):
-            continue
-        if not girth_at_least(lifted, base_girth):
-            raise ClusterTreeError("lift decreased girth; bug")
+    # one sweep with the larger finite base girth checks both bases
+    base_girths = [x for x in (girth(h), girth(h_prime)) if isinstance(x, int)]
+    if base_girths and not girth_at_least(lifted, max(base_girths)):
+        raise ClusterTreeError("lift decreased girth; bug")
     return lifted, cm1, cm2
 
 
@@ -528,11 +527,13 @@ def build_high_girth_ct(
     )
     if not verify_covering_map(phi):
         raise ClusterTreeError("restricted projection is not a covering map; bug")
-    if not girth_at_least(restricted, 2 * k + 1):
-        raise ClusterTreeError("pipeline output girth below 2k+1; bug")
+    # girth at least 2k+1, and no lower than the base's: one sweep checks both
+    bound = 2 * k + 1
     base_girth = girth(base)
-    if isinstance(base_girth, int) and not girth_at_least(restricted, base_girth):
-        raise ClusterTreeError("lift decreased girth; bug")
+    if isinstance(base_girth, int):
+        bound = max(bound, base_girth)
+    if not girth_at_least(restricted, bound):
+        raise ClusterTreeError(f"pipeline output girth below {bound}; bug")
     cluster_of = tuple(low.cluster_of[phi.map[v]] for v in range(restricted.n))
     ct = CTGraph(graph=restricted, skeleton=low.skeleton, cluster_of=cluster_of)
     return ct, phi

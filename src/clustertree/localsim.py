@@ -326,6 +326,21 @@ def exact_mvc_bipartite(g: Graph) -> tuple[int, tuple[int, ...]]:
 _EXACT_LIMIT = 40
 
 
+def _remove(adj: list[set[int]], x: int) -> list[tuple[int, int]]:
+    """Delete every edge at ``x``; returns them for :func:`_restore`."""
+    removed = [(x, w) for w in adj[x]]
+    for _, w in removed:
+        adj[x].discard(w)
+        adj[w].discard(x)
+    return removed
+
+
+def _restore(adj: list[set[int]], removed: list[tuple[int, int]]) -> None:
+    for x, w in removed:
+        adj[x].add(w)
+        adj[w].add(x)
+
+
 def _mvc_branch_bound(g: Graph) -> int:
     adj = [set(nbrs) for nbrs in g.adj]
     best = [g.n]
@@ -352,30 +367,17 @@ def _mvc_branch_bound(g: Graph) -> int:
         if chosen + matching_lb(adj) >= best[0]:
             return
         u = max(live, key=lambda x: (len(adj[x]), -x))
-
-        def remove(x: int) -> list[tuple[int, int]]:
-            removed = [(x, w) for w in list(adj[x])]
-            for _, w in removed:
-                adj[x].discard(w)
-                adj[w].discard(x)
-            return removed
-
-        def restore(removed) -> None:
-            for x, w in removed:
-                adj[x].add(w)
-                adj[w].add(x)
-
-        removed = remove(u)
+        removed = _remove(adj, u)
         solve(chosen + 1)
-        restore(removed)
+        _restore(adj, removed)
 
         nbrs = list(adj[u])
         stash = []
         for w in nbrs:
-            stash.append(remove(w))
+            stash.append(_remove(adj, w))
         solve(chosen + len(nbrs))
         for r in reversed(stash):
-            restore(r)
+            _restore(adj, r)
 
     solve(0)
     return best[0]
@@ -416,28 +418,15 @@ def _maxm_branch_bound(g: Graph) -> int:
             best[0] = max(best[0], size)
             return
         u = min(live, key=lambda x: (len(adj[x]), x))
-
-        def drop(x: int):
-            removed = [(x, w) for w in list(adj[x])]
-            for _, w in removed:
-                adj[x].discard(w)
-                adj[w].discard(x)
-            return removed
-
-        def restore(removed):
-            for x, w in removed:
-                adj[x].add(w)
-                adj[w].add(x)
-
         for w in sorted(adj[u]):
-            ru = drop(u)
-            rw = drop(w)
+            ru = _remove(adj, u)
+            rw = _remove(adj, w)
             solve(size + 1)
-            restore(rw)
-            restore(ru)
-        ru = drop(u)
+            _restore(adj, rw)
+            _restore(adj, ru)
+        ru = _remove(adj, u)
         solve(size)
-        restore(ru)
+        _restore(adj, ru)
         best[0] = max(best[0], size)
 
     solve(0)
@@ -662,43 +651,33 @@ def _edge_view_canon(g: Graph, v: int, w: int, k: int) -> tuple[str, str]:
     when the girth premise holds); each half is canonized rooted at its
     endpoint.
     """
-    sub_v = k_hop_subgraph(g, v, k)
-    sub_w = k_hop_subgraph(g, w, k)
-    nodes = sub_v.node_set() | sub_w.node_set()
-    edges = sub_v.edge_set() | sub_w.edge_set()
-    edges.discard(frozenset((v, w)))
-    adj: dict[int, list[int]] = {u: [] for u in nodes}
-    for e in edges:
-        a, b = tuple(e)
-        adj[a].append(b)
-        adj[b].append(a)
+    # host node -> its neighbours in either view, less the edge {v, w}
+    adj: dict[int, set[int]] = {}
+    for sub in (k_hop_subgraph(g, v, k), k_hop_subgraph(g, w, k)):
+        nodes = sub.nodes
+        for i, nbrs in enumerate(sub.graph.adj):
+            adj.setdefault(nodes[i], set()).update(nodes[j] for j in nbrs)
+    adj[v].discard(w)
+    adj[w].discard(v)
 
     def half(root: int, forbidden: int) -> str:
-        comp = {root}
+        index = {root: 0}
         order = [root]
-        queue = [root]
-        while queue:
-            u = queue.pop()
+        for u in order:
             for x in adj[u]:
-                if x not in comp:
-                    comp.add(x)
+                if x not in index:
+                    index[x] = len(order)
                     order.append(x)
-                    queue.append(x)
-        if forbidden in comp:
+        if forbidden in index:
             raise NotATreeError(
                 "union view does not split at the shared edge; girth too low"
             )
-        index = {u: i for i, u in enumerate(sorted(comp))}
-        local = Graph.from_edges(
-            len(comp),
-            [
-                (index[a], index[b])
-                for e in edges
-                for a, b in [tuple(e)]
-                if a in comp and b in comp
-            ],
+        # a component keeps every neighbour of its nodes, and the sets
+        # make the lists simple and symmetric
+        local = Graph(
+            len(order), [tuple(sorted(index[x] for x in adj[u])) for u in order]
         )
-        return canonical_form_rooted(local, index[root])
+        return canonical_form_rooted(local, 0)
 
     return half(v, w), half(w, v)
 

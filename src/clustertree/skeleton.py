@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Graph
 
@@ -66,18 +67,33 @@ class ClusterTreeSkeleton:
     beta: int
     clusters: tuple[Cluster, ...]
     edges: tuple[SkeletonEdge, ...]
-    # cluster id -> {outgoing exponent -> neighbor cluster id}
-    out_label: dict[int, dict[int, int]] = field(repr=False)
+
+    @cached_property
+    def out_label(self) -> dict[int, dict[int, int]]:
+        """cluster id -> {outgoing exponent -> neighbor cluster id}"""
+        table: dict[int, dict[int, int]] = {c.id: {} for c in self.clusters}
+        for e in self.edges:
+            table[e.a][e.exp_a] = e.b
+            table[e.b][e.exp_b] = e.a
+        return table
+
+    @cached_property
+    def out_exponent(self) -> dict[int, dict[int, int]]:
+        """cluster id -> {neighbor cluster id -> outgoing exponent}"""
+        return {
+            cid: {other: exp for exp, other in by_exp.items()}
+            for cid, by_exp in self.out_label.items()
+        }
 
     def cluster(self, cid: int) -> Cluster:
         return self.clusters[cid]
 
     def exponent_toward(self, c_from: int, c_to: int) -> int:
         """Outgoing exponent of ``c_from`` on its edge to ``c_to``."""
-        for exp, other in self.out_label[c_from].items():
-            if other == c_to:
-                return exp
-        raise KeyError(f"clusters {c_from} and {c_to} are not adjacent")
+        try:
+            return self.out_exponent[c_from][c_to]
+        except KeyError:
+            raise KeyError(f"clusters {c_from} and {c_to} are not adjacent") from None
 
     def level_counts(self) -> list[int]:
         counts = [0] * (self.k + 2)
@@ -145,13 +161,7 @@ def build_skeleton(k: int, beta: int) -> ClusterTreeSkeleton:
     skel_edges = tuple(
         SkeletonEdge(a=a, b=b, exp_a=x, exp_b=x + 1) for a, b, x in edges
     )
-    out_label: dict[int, dict[int, int]] = {c.id: {} for c in clusters}
-    for e in skel_edges:
-        out_label[e.a][e.exp_a] = e.b
-        out_label[e.b][e.exp_b] = e.a
-    return ClusterTreeSkeleton(
-        k=k, beta=beta, clusters=clusters, edges=skel_edges, out_label=out_label
-    )
+    return ClusterTreeSkeleton(k=k, beta=beta, clusters=clusters, edges=skel_edges)
 
 
 def cluster_count(k: int, l: int) -> int:
@@ -461,13 +471,7 @@ def skeleton_from_json_dict(doc: dict) -> ClusterTreeSkeleton:
         SkeletonEdge(a=e["a"], b=e["b"], exp_a=e["exp_a"], exp_b=e["exp_b"])
         for e in doc["edges"]
     )
-    out_label: dict[int, dict[int, int]] = {c.id: {} for c in clusters}
-    for e in edges:
-        out_label[e.a][e.exp_a] = e.b
-        out_label[e.b][e.exp_b] = e.a
-    return ClusterTreeSkeleton(
-        k=k, beta=beta, clusters=clusters, edges=edges, out_label=out_label
-    )
+    return ClusterTreeSkeleton(k=k, beta=beta, clusters=clusters, edges=edges)
 
 
 def write_skeleton_json(path: str, skel: ClusterTreeSkeleton) -> None:

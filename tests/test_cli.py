@@ -296,6 +296,10 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
+def _with_edge(doc, entry):
+    return {**doc, "edges": doc["edges"] + [entry]}
+
+
 @pytest.mark.parametrize(
     "command, edit, extra, code",
     [
@@ -308,6 +312,11 @@ def _without(doc, key):
         ("verify-iso", lambda d: d, ["--v0", "100000", "--v1", "64"], 2),
         ("export-dot", lambda d: {**d, "meta": {**d["meta"], "k": [1]}}, [], 1),
         ("export-dot --skeleton", lambda d: {"k": 1}, [], 2),
+        ("verify-iso", lambda d: _with_edge(d, d["edges"][0]), [], 2),
+        ("verify-iso", lambda d: _with_edge(d, [0, 1.5]), [], 2),
+        ("verify-iso", lambda d: _with_edge(d, [0, True]), [], 2),
+        ("verify-iso", lambda d: _with_edge(d, [0, 1, 2]), [], 2),
+        ("verify-iso", lambda d: _with_edge(d, 5), [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -319,6 +328,11 @@ def _without(doc, key):
         "verify-iso-v0-out-of-range",
         "export-dot-k-not-an-int",
         "export-dot-skeleton-missing-beta",
+        "verify-iso-duplicate-edge",
+        "verify-iso-float-endpoint",
+        "verify-iso-boolean-endpoint",
+        "verify-iso-edge-of-three",
+        "verify-iso-bare-int-edge",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(

@@ -93,18 +93,37 @@ def test_precondition_checks(g14, g26):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_rejects_swapped_images(trees26):
+def test_verify_rejects_swapped_images(radius2_inputs):
     # swapping the images of two nodes with different view degrees breaks
     # edge preservation (radius-1 views are stars, so this needs radius 2)
-    ct, v0, v1 = trees26
-    phi = find_isomorphism(ct, 2, v0, v1)
-    f = dict(phi.forward)
-    g = ct.graph
-    a = next(v for v in f if v != v0 and g.degree(v) > 1)
-    b = next(v for v in f if g.degree(v) == 1)
-    f[a], f[b] = f[b], f[a]
-    broken = type(phi)(forward=f, backward={w: v for v, w in f.items()})
-    assert not verify_isomorphism(ct, 2, v0, v1, broken)
+    for ct, v0, v1 in radius2_inputs:
+        phi = find_isomorphism(ct, 2, v0, v1)
+        sub = k_hop_subgraph(ct, v0, 2)
+        degree = {u: len(nbrs) for u, nbrs in zip(sub.nodes, sub.graph.adj)}
+        f = dict(phi.forward)
+        a = next(v for v in f if v != v0 and degree[v] > 1)
+        b = next(v for v in f if degree[v] == 1)
+        f[a], f[b] = f[b], f[a]
+        broken = type(phi)(forward=f, backward={w: v for v, w in f.items()})
+        assert not verify_isomorphism(ct, 2, v0, v1, broken)
+
+
+def test_verify_rejects_broken_maps_on_lift(radius2_inputs):
+    lift, v0, v1 = radius2_inputs[1]
+    phi = find_isomorphism(lift, 2, v0, v1)
+    assert verify_isomorphism(lift, 2, v0, v1, phi)
+    view0 = set(k_hop_subgraph(lift, v0, 2).nodes)
+    view1 = set(k_hop_subgraph(lift, v1, 2).nodes)
+    outside0 = next(x for x in range(lift.n) if x not in view0)
+    outside1 = next(x for x in range(lift.n) if x not in view1)
+    a, b = sorted(v for v in phi.forward if v != v0)[:2]
+
+    non_injective = {**phi.forward, a: phi.forward[b]}
+    extra_key = {**phi.forward, outside0: outside1}
+    image_outside = {**phi.forward, a: outside1}
+    for f in (non_injective, extra_key, image_outside):
+        broken = type(phi)(forward=f, backward={w: v for v, w in f.items()})
+        assert not verify_isomorphism(lift, 2, v0, v1, broken)
 
 
 def test_verify_rejects_missing_node(g14):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import statistics
 
 import pytest
@@ -16,6 +18,7 @@ from clustertree.localsim import (
     MM,
     VC,
     Labeling,
+    _edge_view_canon,
     alg_always_select,
     alg_mutual_max_mm,
     alg_skip_local_max,
@@ -402,6 +405,21 @@ def test_edge_indistinguishability_radius_one(doubled14):
     report = edge_indistinguishability_check(doubled14, 1, samples=12, seed=1)
     assert len(report.checks) == 12
     assert report.all_passed
+
+
+def test_edge_view_canon_digest(doubled14):
+    # both edges of every check; the digest was recorded when the union
+    # view was still built from host edge sets
+    report = edge_indistinguishability_check(doubled14, 1, samples=12, seed=1)
+    g = doubled14.graph
+    pairs = []
+    for c in report.checks:
+        pairs.append(list(_edge_view_canon(g, c.v0, c.v1, 1)))
+        pairs.append(list(_edge_view_canon(g, c.v0, c.v0_bar, 1)))
+    digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+    assert digest == (
+        "a9d0136395a0d467546bf2bde149d7f0513f275fe11313f40a2737025af97c7c"
+    )
 
 
 def test_edge_indistinguishability_radius_zero(doubled14):
