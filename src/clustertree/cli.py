@@ -31,11 +31,16 @@ def _write_json(path: str, doc) -> None:
 
 
 def _meta_skeleton(gf, path: str) -> sk.ClusterTreeSkeleton:
-    """The skeleton named by a graph file's integer k/beta metadata."""
+    """The skeleton named by a graph file's integer k/beta metadata.
+
+    The file must carry clusters; the skeleton may not have more clusters
+    than the file has distinct cluster ids.
+    """
     if not gf.meta or not all(
         type(gf.meta.get(key)) is int for key in ("k", "beta")
     ):
         raise ClusterTreeError(f"{path} lacks integer k/beta metadata")
+    sk.require_cluster_room(gf.meta["k"], len(set(gf.clusters)))
     return sk.build_skeleton(gf.meta["k"], gf.meta["beta"])
 
 
@@ -238,10 +243,10 @@ def _cmd_export_dot(args) -> int:
     else:
         gf = read_graph_json(args.graph)
         levels = None
-        if gf.meta and "k" in gf.meta:
+        if gf.clusters and gf.meta and "k" in gf.meta:
             skel = _meta_skeleton(gf, args.graph)
             levels = {c.id: c.level for c in skel.clusters}
-            if gf.clusters and max(gf.clusters) >= len(skel.clusters):
+            if max(gf.clusters) >= len(skel.clusters):
                 # doubled graph: mirror clusters reuse the base levels
                 m = len(skel.clusters)
                 levels.update({c.id + m: c.level for c in skel.clusters})

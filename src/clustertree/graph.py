@@ -24,7 +24,7 @@ INFINITE = math.inf
 class Graph:
     """Simple undirected graph: no self-loops, no parallel edges."""
 
-    __slots__ = ("n", "adj", "_edge_cache")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: list[tuple[int, ...]]):
         """Build from a pre-validated adjacency structure.
@@ -34,7 +34,6 @@ class Graph:
         """
         self.n = n
         self.adj = adj
-        self._edge_cache: list[tuple[int, int]] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -78,27 +77,18 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
-        if self._edge_cache is None:
-            self._edge_cache = [
-                (u, v) for u in range(self.n) for v in self.adj[u] if u < v
-            ]
-        return self._edge_cache
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def bfs_distances(self, source: int, cutoff: int | None = None) -> dict[int, int]:
-        """Hop distances from ``source`` to every reachable node.
-
-        With ``cutoff`` set, only nodes within that many hops are returned.
-        """
+    def bfs_distances(self, source: int) -> dict[int, int]:
+        """Hop distances from ``source`` to every reachable node."""
         dist = {source: 0}
         queue = deque([source])
         while queue:
             u = queue.popleft()
             d = dist[u]
-            if cutoff is not None and d >= cutoff:
-                continue
             for w in self.adj[u]:
                 if w not in dist:
                     dist[w] = d + 1

@@ -312,6 +312,11 @@ def regular_supergraph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     return out, tuple(range(g.n))
 
 
+def _high_girth_min_m(delta: int, girth_target: int) -> int:
+    """Smallest m (half the node count) that :func:`high_girth_regular` accepts."""
+    return 2 * sum((delta - 1) ** i for i in range(girth_target - 1))
+
+
 def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     """A delta-regular graph on 2m nodes with girth at least girth_target.
 
@@ -329,7 +334,7 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
         raise ValueError("degree must be at least 2")
     if girth_target < 3:
         raise ValueError("girth target must be at least 3")
-    min_m = 2 * sum((delta - 1) ** i for i in range(girth_target - 1))
+    min_m = _high_girth_min_m(delta, girth_target)
     if m < min_m:
         raise BoundViolatedError(
             f"m={m} is below the required minimum {min_m} for "
@@ -477,8 +482,7 @@ def estimate_pipeline_size(k: int, beta: int) -> int:
     """
     pred = predicted_sizes(k, beta)
     delta = pred.max_degree
-    m_min = 2 * sum((delta - 1) ** i for i in range(2 * k))
-    return 4 * (pred.n + 4 * delta) * (2 * m_min)
+    return 4 * (pred.n + 4 * delta) * (2 * _high_girth_min_m(delta, 2 * k + 1))
 
 
 def build_high_girth_ct(
@@ -503,8 +507,8 @@ def build_high_girth_ct(
     base = low.graph
     delta = beta ** (k + 1)
     super_graph, _ = regular_supergraph(base)
-    m_min = 2 * sum((delta - 1) ** i for i in range(2 * k))
-    high = high_girth_regular(delta, 2 * k + 1, m_min)
+    target = 2 * k + 1
+    high = high_girth_regular(delta, target, _high_girth_min_m(delta, target))
     lifted, psi1, _psi2 = common_lift(super_graph, high)
 
     proj = psi1.map

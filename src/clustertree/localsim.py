@@ -20,7 +20,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .builder import DoubledGraph
 from .errors import GirthTooLowError, NotATreeError, TooLargeError
@@ -273,43 +273,56 @@ EDGE_KINDS = (MAXM, MM)
 # ---------------------------------------------------------------------------
 
 
+def _is_node(v, n: int) -> bool:
+    # type() keeps booleans and floats out, as in Graph.from_edges
+    return type(v) is int and 0 <= v < n
+
+
+def _covers(adj, mark: bytearray) -> bool:
+    """True iff every edge has a marked endpoint."""
+    get = mark.__getitem__
+    return all(all(map(get, nbrs)) for u, nbrs in enumerate(adj) if not mark[u])
+
+
+def _dominates(adj, mark: bytearray) -> bool:
+    """True iff every node is marked or has a marked neighbour."""
+    get = mark.__getitem__
+    return all(mark[u] or any(map(get, nbrs)) for u, nbrs in enumerate(adj))
+
+
 def validate_solution(g: Graph, kind: str, solution) -> bool:
-    """Exact definitional check of a solution; never raises on bad data."""
+    """Exact definitional check of a solution; never raises on bad data.
+
+    The solution is marked in one mask over the nodes: selected nodes for
+    vc/ds/mis, matched endpoints for maxm/mm. An entry that is not an
+    ``int`` node index in range, or for matchings a pair of them joined
+    by an edge, makes the solution invalid.
+    """
+    n, adj = g.n, g.adj
+    mark = bytearray(n)
     if kind in NODE_KINDS:
-        nodes = set(solution)
-        if any(not (0 <= v < g.n) for v in nodes):
-            return False
+        for v in solution:
+            if not _is_node(v, n):
+                return False
+            mark[v] = 1
         if kind == VC:
-            return all(u in nodes or v in nodes for u, v in g.edges())
-        if kind == DS:
-            return all(
-                v in nodes or any(w in nodes for w in g.adj[v])
-                for v in range(g.n)
-            )
-        # MIS: independent and maximal
-        for v in nodes:
-            if any(w in nodes for w in g.adj[v]):
-                return False
-        return all(
-            v in nodes or any(w in nodes for w in g.adj[v])
-            for v in range(g.n)
-        )
+            return _covers(adj, mark)
+        if kind == MIS and any(mark[w] for v in range(n) if mark[v] for w in adj[v]):
+            return False
+        return _dominates(adj, mark)
     if kind in EDGE_KINDS:
-        seen: set[int] = set()
-        count = 0
         for e in solution:
-            u, v = e
-            if not g.has_edge(u, v):
+            try:
+                u, v = e
+            except (TypeError, ValueError):
                 return False
-            if u in seen or v in seen:
+            if not (_is_node(u, n) and _is_node(v, n) and g.has_edge(u, v)):
                 return False
-            seen.add(u)
-            seen.add(v)
-            count += 1
-        if kind == MM:
-            # maximality: no edge with both endpoints unmatched
-            return all(u in seen or v in seen for u, v in g.edges())
-        return True
+            if mark[u] or mark[v]:
+                return False
+            mark[u] = mark[v] = 1
+        # a matching is maximal iff its endpoints cover every edge
+        return kind == MAXM or _covers(adj, mark)
     raise ValueError(f"unknown solution kind {kind!r}")
 
 
@@ -523,20 +536,26 @@ def measure_expectation(
         raise ValueError("need at least one trial")
     if kind not in KINDS:
         raise ValueError(f"unknown solution kind {kind!r}")
-    fn = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
+    if isinstance(algorithm, str):
+        if algorithm not in ALGORITHMS:
+            raise KeyError(algorithm)
+    elif jobs > 1:
+        raise ValueError("parallel trials need a registered algorithm name")
     rng = random.Random(seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
+    trial = partial(_one_trial, g, k, algorithm, kind)
 
     if jobs > 1:
-        if not isinstance(algorithm, str):
-            raise ValueError("parallel trials need a registered algorithm name")
         import concurrent.futures as cf
 
-        args = [(g, k, algorithm, kind, ts) for ts in trial_seeds]
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_one_trial, args))
+        # one chunk per worker, and no worker without a chunk: each
+        # unpickles the graph once and reuses its view templates for the
+        # rest of the chunk
+        chunk = math.ceil(trials / jobs)
+        with cf.ProcessPoolExecutor(max_workers=math.ceil(trials / chunk)) as pool:
+            results = list(pool.map(trial, trial_seeds, chunksize=chunk))
     else:
-        results = [_one_trial((g, k, fn, kind, ts)) for ts in trial_seeds]
+        results = list(map(trial, trial_seeds))
 
     sizes = tuple(r[0] for r in results)
     valid = tuple(r[1] for r in results)
@@ -560,8 +579,10 @@ def measure_expectation(
     )
 
 
-def _one_trial(args) -> tuple[int, bool]:
-    g, k, algorithm, kind, trial_seed = args
+def _one_trial(
+    g: Graph, k: int, algorithm, kind: str, trial_seed: int
+) -> tuple[int, bool]:
+    # pool workers receive the registry name: a name always pickles
     fn = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
     labeling = Labeling.generate(g.n, trial_seed)
     outputs = run_local(g, k, fn, labeling)
@@ -649,7 +670,9 @@ def _edge_view_canon(g: Graph, v: int, w: int, k: int) -> tuple[str, str]:
     The union of the two k-hop views, with the edge {v, w} removed,
     splits into the component of v and the component of w (both trees
     when the girth premise holds); each half is canonized rooted at its
-    endpoint.
+    endpoint. A cycle through {v, w} of length at most 2k+1 joins the
+    halves, so a host graph that is not bipartite needs girth at least
+    2k+2; a bipartite one has no odd cycles, and girth 2k+1 suffices.
     """
     # host node -> its neighbours in either view, less the edge {v, w}
     adj: dict[int, set[int]] = {}

@@ -178,7 +178,24 @@ def cluster_count(k: int, l: int) -> int:
         return 1
     if l > k + 1:
         return 0
-    return math.factorial(k) // math.factorial(k - l + 1) * (k - l + 2)
+    return math.perm(k, l - 1) * (k - l + 2)
+
+
+def require_cluster_room(k: int, room: int) -> None:
+    """Raise ValueError if the k-skeleton has more than ``room`` clusters.
+
+    Readers call this before growing a skeleton, with the number of
+    clusters their input can hold. Every level of the total is at least 1
+    and level 1 alone has k + 1 clusters, so the running sum stops after
+    a few levels however large k is.
+    """
+    total = 0
+    for l in range(k + 2):
+        total += cluster_count(k, l)
+        if total > room:
+            raise ValueError(
+                f"the skeleton for k={k} has more than {room} clusters"
+            )
 
 
 @dataclass(frozen=True)
@@ -383,95 +400,27 @@ def skeleton_to_json_dict(skel: ClusterTreeSkeleton) -> dict:
     }
 
 
-_SKELETON_RECORDS = {
-    "clusters": {"id": int, "level": int, "position": str},
-    "edges": {"a": int, "b": int, "exp_a": int, "exp_b": int},
-}
+def skeleton_from_json_dict(doc) -> ClusterTreeSkeleton:
+    """Rebuild a skeleton by growing it again from the document's k and beta.
 
-
-def _check_skeleton_doc(doc) -> None:
-    """Raise ValueError unless ``doc`` is shaped like a written skeleton:
-    integer k and beta, clusters with ids 0..n-1, and edges that join
-    clusters one level apart and give every cluster but 0 a parent."""
+    The document must equal what :func:`skeleton_to_json_dict` writes for
+    that skeleton; its cluster list bounds the skeleton before it grows.
+    Any other document raises ValueError.
+    """
     if not (
         isinstance(doc, dict)
         and type(doc.get("k")) is int
         and type(doc.get("beta")) is int
     ):
         raise ValueError("skeleton document needs integer 'k' and 'beta'")
-    for key, fields in _SKELETON_RECORDS.items():
-        records = doc.get(key)
-        if not isinstance(records, list) or not all(
-            isinstance(r, dict)
-            and all(type(r.get(f)) is t for f, t in fields.items())
-            for r in records
-        ):
-            raise ValueError(
-                f"'{key}' must be a list of objects with {', '.join(fields)}"
-            )
-    ids = [c["id"] for c in doc["clusters"]]
-    if sorted(ids) != list(range(len(ids))):
-        raise ValueError("cluster ids must be 0..n-1, each once")
-    level = {c["id"]: c["level"] for c in doc["clusters"]}
-    children = set()
-    for e in doc["edges"]:
-        la, lb = level.get(e["a"]), level.get(e["b"])
-        if la is None or lb is None or abs(la - lb) != 1:
-            raise ValueError(
-                f"edge {e['a']}-{e['b']} must join clusters one level apart"
-            )
-        children.add(e["a"] if la > lb else e["b"])
-    if children != set(range(1, len(ids))):
-        raise ValueError("every cluster but 0 needs an edge to its parent")
-
-
-def skeleton_from_json_dict(doc: dict) -> ClusterTreeSkeleton:
-    """Rebuild a skeleton, re-deriving parent and creation-round tags.
-
-    The base clusters (ids 0..3) are round 1; any other cluster was added
-    in round max(parent round + 1, parent-side exponent), which separates
-    the two growth rules without storing the rounds on disk. A document
-    of any other shape raises ValueError.
-    """
-    _check_skeleton_doc(doc)
+    if not isinstance(doc.get("clusters"), list):
+        raise ValueError("'clusters' must be a list")
     k, beta = doc["k"], doc["beta"]
-    levels = {c["id"]: c["level"] for c in doc["clusters"]}
-    positions = {c["id"]: c["position"] for c in doc["clusters"]}
-    n = len(levels)
-    parent: dict[int, int | None] = {0: None}
-    parent_exp: dict[int, int | None] = {0: None}
-    child_edges: dict[int, list[dict]] = {i: [] for i in range(n)}
-    for e in doc["edges"]:
-        lo, hi = (e["a"], e["b"]) if levels[e["a"]] < levels[e["b"]] else (e["b"], e["a"])
-        parent[hi] = lo
-        parent_exp[hi] = e["exp_b"] if hi == e["b"] else e["exp_a"]
-        child_edges[lo].append(e)
-
-    rounds: dict[int, int] = {}
-    for cid in sorted(levels, key=lambda c: (levels[c], c)):
-        if cid <= 3:
-            rounds[cid] = 1
-        else:
-            p = parent[cid]
-            exp_a = parent_exp[cid] - 1
-            rounds[cid] = max(rounds[p] + 1, exp_a)
-
-    clusters = tuple(
-        Cluster(
-            id=cid,
-            level=levels[cid],
-            position=positions[cid],
-            round=rounds[cid],
-            parent=parent[cid],
-            parent_exponent=parent_exp[cid],
-        )
-        for cid in range(n)
-    )
-    edges = tuple(
-        SkeletonEdge(a=e["a"], b=e["b"], exp_a=e["exp_a"], exp_b=e["exp_b"])
-        for e in doc["edges"]
-    )
-    return ClusterTreeSkeleton(k=k, beta=beta, clusters=clusters, edges=edges)
+    require_cluster_room(k, len(doc["clusters"]))
+    skel = build_skeleton(k, beta)
+    if skeleton_to_json_dict(skel) != doc:
+        raise ValueError(f"document is not the skeleton for k={k}, beta={beta}")
+    return skel
 
 
 def write_skeleton_json(path: str, skel: ClusterTreeSkeleton) -> None:

@@ -317,6 +317,8 @@ def _with_edge(doc, entry):
         ("verify-iso", lambda d: _with_edge(d, [0, True]), [], 2),
         ("verify-iso", lambda d: _with_edge(d, [0, 1, 2]), [], 2),
         ("verify-iso", lambda d: _with_edge(d, 5), [], 2),
+        ("verify-iso", lambda d: {**d, "meta": {"k": 11, "beta": 24}}, [], 2),
+        ("export-dot", lambda d: {**d, "meta": {"k": 11, "beta": 24}}, [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -333,6 +335,8 @@ def _with_edge(doc, entry):
         "verify-iso-boolean-endpoint",
         "verify-iso-edge-of-three",
         "verify-iso-bare-int-edge",
+        "verify-iso-k-beyond-clusters",
+        "export-dot-k-beyond-clusters",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(

@@ -7,9 +7,15 @@ import statistics
 import pytest
 
 from clustertree.builder import build_matching_double
-from clustertree.errors import GirthTooLowError, NotBipartiteError, TooLargeError
+from clustertree.errors import (
+    GirthTooLowError,
+    NotATreeError,
+    NotBipartiteError,
+    TooLargeError,
+)
 from clustertree.graph import Graph, k_hop_subgraph, line_graph
 from clustertree.iso import canonical_form
+from clustertree.lifts import high_girth_regular
 from clustertree.localsim import (
     ALGORITHMS,
     DS,
@@ -147,6 +153,11 @@ def test_validate_vc():
     assert validate_solution(K3, VC, [0, 1])
     assert not validate_solution(K3, VC, [0])
     assert not validate_solution(K3, VC, [7])
+    # only in-range int entries are nodes: no wrap-around, no exception
+    assert not validate_solution(K3, VC, [0, 1, -1])
+    assert not validate_solution(K3, VC, ["x"])
+    assert not validate_solution(K3, VC, [0, True])
+    assert not validate_solution(K3, VC, [0, 1.0])
 
 
 def test_validate_ds():
@@ -164,6 +175,13 @@ def test_validate_matchings():
     assert not validate_solution(C4, MM, [])
     # the middle edge of the path dominates both outer edges
     assert validate_solution(P4, MM, [(1, 2)])
+    # adj[-1] would be node 3's list, which holds 2
+    assert not validate_solution(P4, MAXM, [(-1, 2)])
+    assert not validate_solution(P4, MM, [(-1, 2), (0, 1)])
+    assert not validate_solution(P4, MAXM, [(9, 0)])
+    assert not validate_solution(P4, MAXM, [(0, True)])
+    assert not validate_solution(P4, MAXM, [(0, 1, 2)])
+    assert not validate_solution(P4, MAXM, [5])
 
 
 def test_validate_mm_endpoints_cover():
@@ -267,13 +285,15 @@ def test_measure_expectation_flags_invalid_trials():
 
 
 def test_measure_expectation_parallel_matches_serial(g14):
-    serial = measure_expectation(
-        g14.graph, 1, "skip-local-max", VC, trials=6, seed=3, jobs=1
-    )
-    parallel = measure_expectation(
-        g14.graph, 1, "skip-local-max", VC, trials=6, seed=3, jobs=2
-    )
-    assert serial == parallel
+    # 5 and 1 trials do not split evenly over two workers
+    for trials in (6, 5, 1):
+        serial = measure_expectation(
+            g14.graph, 1, "skip-local-max", VC, trials=trials, seed=3, jobs=1
+        )
+        parallel = measure_expectation(
+            g14.graph, 1, "skip-local-max", VC, trials=trials, seed=3, jobs=2
+        )
+        assert serial == parallel
 
 
 def test_mutual_edges_consistency(g14):
@@ -420,6 +440,18 @@ def test_edge_view_canon_digest(doubled14):
     assert digest == (
         "a9d0136395a0d467546bf2bde149d7f0513f275fe11313f40a2737025af97c7c"
     )
+
+
+def test_edge_view_canon_radius_two():
+    # every half is a depth-2 binary tree once the girth reaches 2k+2 = 6
+    g = high_girth_regular(3, 6, 62)
+    for u, v in g.edges():
+        assert _edge_view_canon(g, u, v, 2) == ("((()())(()()))",) * 2
+    # at girth 5 a 5-cycle through the edge joins the two halves
+    g5 = high_girth_regular(3, 5, 30)
+    with pytest.raises(NotATreeError):
+        for u, v in g5.edges():
+            _edge_view_canon(g5, u, v, 2)
 
 
 def test_edge_indistinguishability_radius_zero(doubled14):

@@ -184,6 +184,8 @@ def _edited_skeleton_doc(edit):
         _edited_skeleton_doc(lambda d: d["edges"][2].update(b=9)),
         _edited_skeleton_doc(lambda d: d["edges"][2].update(b=2)),
         _edited_skeleton_doc(lambda d: d["edges"].pop()),
+        _edited_skeleton_doc(lambda d: d.update(k=11, beta=24)),
+        _edited_skeleton_doc(lambda d: d["clusters"][2].update(position="internal")),
     ],
     ids=[
         "array",
@@ -196,6 +198,8 @@ def _edited_skeleton_doc(edit):
         "edge-to-unknown-cluster",
         "edge-within-one-level",
         "cluster-without-parent",
+        "k-beyond-cluster-list",
+        "position-edited",
     ],
 )
 def test_skeleton_json_rejects_malformed_documents(doc):
