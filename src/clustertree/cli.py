@@ -101,16 +101,39 @@ def _cmd_predict(args) -> int:
         "total_bound_ok": pred.total_bound_ok,
         "excess_bound_ok": pred.excess_bound_ok,
     }
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"n_0={pred.n0} n={pred.n} max_degree={pred.max_degree}")
-        print(f"per-cluster sizes by level: {list(pred.level_sizes)}")
-        print(f"clusters by level: {doc['cluster_counts']}")
+    # exact values may run past the interpreter's int-to-str digit limit;
+    # lift it for this output only, since dispatch may run in-process
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if args.json:
+            print(json.dumps(doc, indent=2))
+        else:
+            print(f"n_0={pred.n0} n={pred.n} max_degree={pred.max_degree}")
+            print(f"per-cluster sizes by level: {list(pred.level_sizes)}")
+            print(f"clusters by level: {doc['cluster_counts']}")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 
+# the lift ops and the input flags each one reads
+_LIFT_INPUTS = {
+    "matching-decomposition": ("graph",),
+    "double-cover": ("graph",),
+    "common-lift": ("graph", "graph2"),
+    "supergraph": ("graph",),
+    "high-girth-regular": ("delta", "girth", "m"),
+    "pipeline": ("k", "beta"),
+}
+
+
 def _cmd_lift(args) -> int:
+    missing = [
+        f"--{name}" for name in _LIFT_INPUTS[args.op] if getattr(args, name) is None
+    ]
+    if missing:
+        raise ValueError(f"lift --op {args.op} needs {' and '.join(missing)}")
     if args.op == "matching-decomposition":
         g = read_graph_json(args.graph).graph
         matchings = lifts.matching_decomposition(g)
@@ -138,7 +161,7 @@ def _cmd_lift(args) -> int:
         return 0
     if args.op == "supergraph":
         g = read_graph_json(args.graph).graph
-        sg, _embedding = lifts.regular_supergraph(g)
+        sg = lifts.regular_supergraph(g)
         write_graph_json(args.out, sg, meta={"stage": "supergraph"})
         print(
             f"wrote {sg.max_degree()}-regular supergraph with "
@@ -162,12 +185,18 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_verify_iso(args) -> int:
+    if (args.v0 is None) != (args.v1 is None):
+        raise ValueError("--v0 and --v1 go together")
+    if args.v0 is None and args.all_pairs_sample is None:
+        raise ValueError("need --v0/--v1 or --all-pairs-sample")
+    if args.all_pairs_sample is not None and args.all_pairs_sample < 1:
+        raise ValueError("--all-pairs-sample must be at least 1")
     ct = _load_ct(args.graph)
-    c0 = [v for v in range(ct.graph.n) if ct.cluster_of[v] == 0]
-    c1 = [v for v in range(ct.graph.n) if ct.cluster_of[v] == 1]
-    if args.v0 is not None and args.v1 is not None:
+    if args.v0 is not None:
         pairs = [(args.v0, args.v1)]
-    elif args.all_pairs_sample:
+    else:
+        c0 = [v for v in range(ct.graph.n) if ct.cluster_of[v] == 0]
+        c1 = [v for v in range(ct.graph.n) if ct.cluster_of[v] == 1]
         if not (c0 and c1):
             raise ClusterTreeError(f"{args.graph} has no cluster-0 or cluster-1 node")
         rng = random.Random(args.seed)
@@ -175,9 +204,6 @@ def _cmd_verify_iso(args) -> int:
             (rng.choice(c0), rng.choice(c1))
             for _ in range(args.all_pairs_sample)
         ]
-    else:
-        print("need --v0/--v1 or --all-pairs-sample", file=sys.stderr)
-        return 2
     histogram: dict[str, int] = {}
     special = 0
     success = True
@@ -289,18 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_predict)
 
     p = subs.add_parser("lift", help="girth-raising operations")
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=[
-            "matching-decomposition",
-            "double-cover",
-            "common-lift",
-            "supergraph",
-            "high-girth-regular",
-            "pipeline",
-        ],
-    )
+    p.add_argument("--op", required=True, choices=list(_LIFT_INPUTS))
     p.add_argument("--graph")
     p.add_argument("--graph2")
     p.add_argument("--k", type=int)
@@ -308,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int)
     p.add_argument("--girth", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--size-cap", type=int)
+    p.add_argument("--size-cap", type=int, default=lifts.DEFAULT_SIZE_CAP)
     p.add_argument("--out", required=True)
     p.add_argument("--map-out")
     p.add_argument("--map2-out")

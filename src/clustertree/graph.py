@@ -282,13 +282,12 @@ def girth(g: Graph) -> int | float:
 def girth_at_least(g: Graph, bound: int) -> bool:
     """True iff girth(g) >= bound, with cheap short-circuits.
 
-    Simple graphs always have girth >= 3; bipartite ones >= 4; forests
-    have infinite girth. Beyond that, a bounded sweep looks for any
-    cycle shorter than the bound.
+    Simple graphs always have girth >= 3; bipartite ones >= 4. Beyond
+    that, a bounded sweep looks for any cycle shorter than the bound.
+    Forests need no pass of their own: they are bipartite, and the sweep
+    never searches past (bound + 1) // 2 hops and finds no cycle in them.
     """
     if bound <= 3:
-        return True
-    if g.is_forest():
         return True
     floor = 3
     if g.two_coloring() is not None:

@@ -17,8 +17,7 @@ materialized; ``k_hop_subgraph`` and the coupled walk read it through
 from __future__ import annotations
 
 import math
-import os
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .builder import build_low_girth
@@ -37,7 +36,6 @@ from .matching import hopcroft_karp
 from .skeleton import ClusterTreeSkeleton, CTGraph, predicted_sizes
 
 DEFAULT_SIZE_CAP = 5_000_000
-SIZE_CAP_ENV = "KMW_SIZE_CAP"
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,10 @@ def common_lift(
     if d1 != d2:
         raise DegreeMismatchError(f"degrees differ: {d1} vs {d2}")
 
-    def bipartite_stage(g: Graph) -> tuple[Graph, tuple[int, ...] | None]:
+    def bipartite_stage(g: Graph) -> tuple[Graph, Sequence[int]]:
+        # the bipartite graph to decompose and its node map down to g
         if g.two_coloring() is not None:
-            return g, None
+            return g, range(g.n)
         cover, cm = canonical_double_cover(g)
         return cover, cm.map
 
@@ -184,19 +183,9 @@ def common_lift(
         adj.extend(tuple(sorted(nbrs)) for nbrs in zip(*rows))
     lifted = Graph(n1 * n2, adj)
 
-    def project(first: bool) -> CoveringMap:
-        if first:
-            raw = [idx // n2 for idx in range(n1 * n2)]
-            down, target = down1, h
-        else:
-            raw = [idx % n2 for idx in range(n1 * n2)]
-            down, target = down2, h_prime
-        if down is not None:
-            raw = [down[x] for x in raw]
-        return CoveringMap(source=lifted, target=target, map=tuple(raw))
-
-    cm1 = project(True)
-    cm2 = project(False)
+    nodes = range(lifted.n)
+    cm1 = CoveringMap(lifted, h, tuple([down1[x // n2] for x in nodes]))
+    cm2 = CoveringMap(lifted, h_prime, tuple([down2[x % n2] for x in nodes]))
     for cm in (cm1, cm2):
         if not verify_covering_map(cm):
             raise ClusterTreeError("constructed projection is not a covering map")
@@ -207,7 +196,7 @@ def common_lift(
     return lifted, cm1, cm2
 
 
-def regular_supergraph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+def regular_supergraph(g: Graph) -> Graph:
     """Embed ``g`` in a regular graph of degree max_degree(g).
 
     Construction: (1) greedily join non-adjacent deficient node pairs;
@@ -218,40 +207,40 @@ def regular_supergraph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     edges. (4) A single leftover node (degree must be odd then) is fixed
     with a second, slightly smaller gadget plus a perfect matching.
 
-    Adds fewer than 4 * degree nodes. The embedding is the identity on
-    the original indices.
+    Adds fewer than 4 * degree nodes. Node v of ``g`` is node v of the
+    result, so the embedding is the identity.
     """
     delta = g.max_degree()
     if delta == 0:
         raise EmptyGraphError("cannot regularize a graph with no edges")
     adj: list[set[int]] = [set(nbrs) for nbrs in g.adj]
-    deg = [len(a) for a in adj]
 
     def add_edge(u: int, w: int) -> None:
         assert u != w and w not in adj[u]
         adj[u].add(w)
         adj[w].add(u)
-        deg[u] += 1
-        deg[w] += 1
+
+    def cut(u: int, w: int) -> None:
+        adj[u].remove(w)
+        adj[w].remove(u)
 
     def new_node() -> int:
         adj.append(set())
-        deg.append(0)
         return len(adj) - 1
 
-    deficient = [v for v in range(g.n) if deg[v] < delta]
+    deficient = [v for v in range(g.n) if len(adj[v]) < delta]
     # one lexicographic pass is maximal: degrees only grow, so a skipped
     # pair can never become addable later
     for i, v in enumerate(deficient):
-        if deg[v] == delta:
+        if len(adj[v]) == delta:
             continue
         for w in deficient[i + 1 :]:
-            if deg[v] == delta:
+            if len(adj[v]) == delta:
                 break
-            if deg[w] < delta and w not in adj[v]:
+            if len(adj[w]) < delta and w not in adj[v]:
                 add_edge(v, w)
 
-    leftovers = [v for v in deficient if deg[v] < delta]
+    leftovers = [v for v in deficient if len(adj[v]) < delta]
     if leftovers:
         assert len(leftovers) <= delta
         # K_{delta,delta} gadget; matching i pairs l_x with r_y, (x-y) % delta == i
@@ -269,23 +258,17 @@ def regular_supergraph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
         match_of = {v: i for i, v in enumerate(leftovers)}
         for v in leftovers:
-            for x in range(1, (delta - deg[v]) // 2 + 1):
+            for x in range(1, (delta - len(adj[v])) // 2 + 1):
                 lx, ry = gadget_edge(match_of[v], x)
-                adj[lx].remove(ry)
-                adj[ry].remove(lx)
-                deg[lx] -= 1
-                deg[ry] -= 1
+                cut(lx, ry)
                 add_edge(v, lx)
                 add_edge(v, ry)
 
-        odd = [v for v in leftovers if deg[v] < delta]
-        assert all(deg[v] == delta - 1 for v in odd)
+        odd = [v for v in leftovers if len(adj[v]) < delta]
+        assert all(len(adj[v]) == delta - 1 for v in odd)
         for v, w in zip(odd[0::2], odd[1::2]):
             lx, ry = gadget_edge(match_of[v], delta)
-            adj[lx].remove(ry)
-            adj[ry].remove(lx)
-            deg[lx] -= 1
-            deg[ry] -= 1
+            cut(lx, ry)
             add_edge(w, lx)
             add_edge(v, ry)
 
@@ -305,11 +288,11 @@ def regular_supergraph(g: Graph) -> tuple[Graph, tuple[int, ...]]:
                 add_edge(a, b)
 
     out = Graph(len(adj), [tuple(sorted(nbrs)) for nbrs in adj])
-    if out.max_degree() != delta or any(len(a) != delta for a in out.adj):
+    if any(len(a) != delta for a in out.adj):
         raise ClusterTreeError("supergraph construction failed to regularize; bug")
     if out.n >= g.n + 4 * delta:
         raise ClusterTreeError("supergraph exceeded its size bound; bug")
-    return out, tuple(range(g.n))
+    return out
 
 
 def _high_girth_min_m(delta: int, girth_target: int) -> int:
@@ -360,18 +343,22 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     for v in range(n):
         link(v, (v + 1) % n)
 
-    def bfs_ball(starts: list[int], radius: int) -> set[int]:
-        dist = {s: 0 for s in starts}
-        queue = deque(starts)
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= radius:
-                continue
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return set(dist)
+    def spread(frontier: int) -> int:
+        """Bitmask of the neighbours of the nodes in ``frontier``."""
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= mask[low.bit_length() - 1]
+            frontier ^= low
+        return reach
+
+    def ball(u: int, radius: int) -> int:
+        """Bitmask of the nodes within ``radius`` hops of u."""
+        seen = frontier = 1 << u
+        for _ in range(radius):
+            frontier = spread(frontier) & ~seen
+            seen |= frontier
+        return seen
 
     far = n + 1  # stands in for infinite distance between components
 
@@ -385,12 +372,7 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
         seen = frontier = 1 << u
         dist = best = hit = 0
         while cands and frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= mask[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
+            frontier = spread(frontier) & ~seen
             seen |= frontier
             dist += 1
             met = frontier & cands
@@ -435,15 +417,14 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
                 continue
             # stuck: swap an edge remote from the two smallest deficient nodes
             vp, wp = deficient[0], deficient[1]
-            ball = bfs_ball([vp], girth_target - 2) | bfs_ball(
-                [wp], girth_target - 2
-            )
+            near = ball(vp, girth_target - 2) | ball(wp, girth_target - 2)
             swap = None
             for x in range(n):
-                if x in ball:
+                if near >> x & 1:
                     continue
+                # set order, not ascending: the recorded digests pin it
                 for y in adj[x]:
-                    if y > x and y not in ball:
+                    if y > x and not near >> y & 1:
                         swap = (x, y)
                         break
                 if swap:
@@ -465,15 +446,6 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     return out
 
 
-def _resolve_cap(size_cap: int | None) -> int:
-    if size_cap is not None:
-        return size_cap
-    env = os.environ.get(SIZE_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_SIZE_CAP
-
-
 def estimate_pipeline_size(k: int, beta: int) -> int:
     """Upper bound on the common-lift node count for (k, beta).
 
@@ -486,7 +458,7 @@ def estimate_pipeline_size(k: int, beta: int) -> int:
 
 
 def build_high_girth_ct(
-    k: int, beta: int, size_cap: int | None = None
+    k: int, beta: int, size_cap: int = DEFAULT_SIZE_CAP
 ) -> tuple[CTGraph, CoveringMap]:
     """Full pipeline: a CT graph of girth >= 2k+1 plus its covering map
     onto the low-girth instance.
@@ -495,18 +467,16 @@ def build_high_girth_ct(
     graph of the same degree, common lift, restriction of the first
     projection to the CT preimage. Cluster identities pull back along
     the covering map. Raises SizeCapExceededError (with the estimate)
-    when the lift would be too large; the cap falls back to the
-    KMW_SIZE_CAP environment variable, then to the built-in default.
+    when the lift would have more than ``size_cap`` nodes.
     """
-    cap = _resolve_cap(size_cap)
     estimate = estimate_pipeline_size(k, beta)
-    if estimate > cap:
-        raise SizeCapExceededError(estimate, cap)
+    if estimate > size_cap:
+        raise SizeCapExceededError(estimate, size_cap)
 
     low = build_low_girth(k, beta)
     base = low.graph
     delta = beta ** (k + 1)
-    super_graph, _ = regular_supergraph(base)
+    super_graph = regular_supergraph(base)
     target = 2 * k + 1
     high = high_girth_regular(delta, target, _high_girth_min_m(delta, target))
     lifted, psi1, _psi2 = common_lift(super_graph, high)
@@ -527,7 +497,7 @@ def build_high_girth_ct(
     phi = CoveringMap(
         source=restricted,
         target=base,
-        map=tuple(psi1.map[old] for old in keep),
+        map=tuple(proj[old] for old in keep),
     )
     if not verify_covering_map(phi):
         raise ClusterTreeError("restricted projection is not a covering map; bug")

@@ -534,6 +534,8 @@ def measure_expectation(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if jobs < 1:
+        raise ValueError("need at least one job")
     if kind not in KINDS:
         raise ValueError(f"unknown solution kind {kind!r}")
     if isinstance(algorithm, str):

@@ -85,9 +85,6 @@ class ClusterTreeSkeleton:
             for cid, by_exp in self.out_label.items()
         }
 
-    def cluster(self, cid: int) -> Cluster:
-        return self.clusters[cid]
-
     def exponent_toward(self, c_from: int, c_to: int) -> int:
         """Outgoing exponent of ``c_from`` on its edge to ``c_to``."""
         try:

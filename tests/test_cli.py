@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ GOLDEN = {
     "build-1-4-double": "29afbd787381d6168d4fb1a57c45b331e5957ee68cfc1a63b81bcca79ba434c8",
     "simulate-skip-local-max-vc": "6ba9b3433757236a0345cd0e224bc7490765905a1c825d7da24b6757db2fbb08",
     "simulate-tape-greedy-mm-mm": "29055b80958972ade82f9f34b5cd1714568bda8268f10b6656eb4492e1a40421",
+    "simulate-greedy-view-vc-vc": "6c33042c41ae0ec2a3c67fd2d712d1b39c42dbadd1b7057c404038419060acca",
 }
 
 
@@ -37,6 +39,17 @@ def test_predict_prints_sizes(capsys):
 
 def test_predict_rejects_small_beta(capsys):
     assert run(["predict", "--k", "1", "--beta", "3"]) == 2
+
+
+def test_predict_prints_values_past_the_digit_limit(capsys):
+    # n_0 = 1402^1401 has about 4,400 digits, past the interpreter's
+    # default int-to-str limit of 4,300; the limit is restored afterwards
+    limit = sys.get_int_max_str_digits()
+    assert run(["predict", "--k", "700", "--beta", "1402"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    n0 = first.split()[0].removeprefix("n_0=")
+    assert n0.isdigit() and len(n0) > 4300
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_skeleton_command(tmp_path):
@@ -201,6 +214,7 @@ def test_build_and_simulate_match_golden_digests(tmp_path):
     for alg, kind, code in (
         ("skip-local-max", "vc", 0),
         ("tape-greedy-mm", "mm", 1),
+        ("greedy-view-vc", "vc", 0),
     ):
         rpath = tmp_path / f"{alg}.json"
         assert run(
@@ -219,6 +233,24 @@ def test_build_and_simulate_match_golden_digests(tmp_path):
         doc.pop("environment")  # interpreter, platform and input path
         digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
         assert digest == GOLDEN[f"simulate-{alg}-{kind}"]
+
+
+@pytest.mark.parametrize(
+    "op, given, needs",
+    [
+        ("pipeline", [], "--k and --beta"),
+        ("pipeline", ["--k", "1"], "--beta"),
+        ("high-girth-regular", ["--delta", "3"], "--girth and --m"),
+        ("double-cover", [], "--graph"),
+        ("common-lift", ["--graph", "g.json"], "--graph2"),
+        ("supergraph", [], "--graph"),
+        ("matching-decomposition", [], "--graph"),
+    ],
+)
+def test_lift_missing_input_flag_ends_in_one_line(tmp_path, capsys, op, given, needs):
+    code = run(["lift", "--op", op, *given, "--out", str(tmp_path / "x.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: lift --op {op} needs {needs}\n"
 
 
 def test_lift_pipeline_cap_failure(tmp_path, capsys):
@@ -310,6 +342,10 @@ def _with_edge(doc, entry):
         ("verify-iso", lambda d: {**d, "meta": _without(d["meta"], "beta")}, [], 1),
         ("verify-iso", lambda d: {**d, "clusters": d["clusters"][:50]}, [], 2),
         ("verify-iso", lambda d: d, ["--v0", "100000", "--v1", "64"], 2),
+        ("verify-iso", lambda d: d, ["--v0", "0"], 2),
+        ("verify-iso", lambda d: d, ["--all-pairs-sample", "0"], 2),
+        ("verify-iso", lambda d: d, ["--all-pairs-sample", "-3"], 2),
+        ("simulate", lambda d: d, ["--jobs", "0"], 2),
         ("export-dot", lambda d: {**d, "meta": {**d["meta"], "k": [1]}}, [], 1),
         ("export-dot --skeleton", lambda d: {"k": 1}, [], 2),
         ("verify-iso", lambda d: _with_edge(d, d["edges"][0]), [], 2),
@@ -328,6 +364,10 @@ def _with_edge(doc, entry):
         "verify-iso-missing-beta",
         "verify-iso-short-clusters",
         "verify-iso-v0-out-of-range",
+        "verify-iso-v0-without-v1",
+        "verify-iso-sample-zero",
+        "verify-iso-sample-negative",
+        "simulate-jobs-zero",
         "export-dot-k-not-an-int",
         "export-dot-skeleton-missing-beta",
         "verify-iso-duplicate-edge",
