@@ -17,10 +17,12 @@ doubled graphs.
 from __future__ import annotations
 
 import math
+import os
 import random
 import statistics
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import itemgetter
 
 from .builder import DoubledGraph
 from .errors import GirthTooLowError, NotATreeError, TooLargeError
@@ -58,6 +60,14 @@ def _view_templates(g: Graph, k: int) -> list[RootedSubgraph]:
     return [k_hop_subgraph(g, v, k) for v in range(g.n)]
 
 
+def _pick(seq, idx) -> tuple:
+    """``tuple(seq[i] for i in idx)`` in one C-level ``itemgetter`` call."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    # a getter over one index returns a bare item, and over none raises
+    return (seq[idx[0]],) if idx else ()
+
+
 class View:
     """Labeled k-hop view as seen by a LOCAL algorithm.
 
@@ -81,12 +91,12 @@ class View:
         return len(self._t.nodes)
 
     def node_ids(self) -> tuple[int, ...]:
-        return tuple(self._ids[u] for u in self._t.nodes)
+        return _pick(self._ids, self._t.nodes)
 
     def root_neighbor_ids(self) -> tuple[int, ...]:
-        ids = self._ids
-        nodes = self._t.nodes
-        return tuple(ids[nodes[j]] for j in self._t.graph.adj[0])
+        # the root's local neighbours are 1..deg, in ascending host index
+        t = self._t
+        return _pick(self._ids, t.nodes[1 : 1 + len(t.graph.adj[0])])
 
     def _local(self, node_id: int) -> int:
         if self._index is None:
@@ -96,10 +106,8 @@ class View:
         return self._index[node_id]
 
     def neighbor_ids(self, node_id: int) -> tuple[int, ...]:
-        j = self._local(node_id)
-        ids = self._ids
-        nodes = self._t.nodes
-        return tuple(ids[nodes[i]] for i in self._t.graph.adj[j])
+        t = self._t
+        return _pick(self._ids, _pick(t.nodes, t.graph.adj[self._local(node_id)]))
 
     def depth_of(self, node_id: int) -> int:
         return self._t.depth[self._local(node_id)]
@@ -169,7 +177,10 @@ def mutual_edges(g: Graph, labeling: Labeling, outputs: list) -> list[tuple[int,
         except TypeError:
             pids = []  # non-iterable output counts as no proposal
         for pid in pids:
-            w = node_of.get(pid)
+            try:
+                w = node_of.get(pid)
+            except TypeError:
+                continue  # an unhashable id names no node
             if w is not None and g.has_edge(v, w):
                 chosen.add(w)
         proposals.append(chosen)
@@ -550,9 +561,10 @@ def measure_expectation(
     if jobs > 1:
         import concurrent.futures as cf
 
-        # one chunk per worker, and no worker without a chunk: each
-        # unpickles the graph once and reuses its view templates for the
-        # rest of the chunk
+        # no more workers than CPUs, one chunk per worker, and no worker
+        # without a chunk: each unpickles the graph once and reuses its
+        # view templates for the rest of the chunk
+        jobs = min(jobs, os.cpu_count() or 1)
         chunk = math.ceil(trials / jobs)
         with cf.ProcessPoolExecutor(max_workers=math.ceil(trials / chunk)) as pool:
             results = list(pool.map(trial, trial_seeds, chunksize=chunk))

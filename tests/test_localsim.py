@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import statistics
 
 import pytest
@@ -98,6 +100,35 @@ def test_view_speaks_identifiers_only(g14):
     outs = run_local(g14.graph, 1, probe, lab)
     # view of a cluster-0 node is its degree-5 star
     assert outs[0] == 6
+
+
+def test_view_accessors_match_host_adjacency():
+    # hub 0, a triangle 0-1-2, a path 0-4-5 ending in the leaf 5, and the
+    # isolated node 6: views with zero, one and many neighbours per node
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5)])
+    lab = Labeling.generate(g.n, 5)
+    ids = lab.ids
+    for k in (0, 1, 2):
+
+        def probe(view):
+            v = ids.index(view.root_id)
+            t = k_hop_subgraph(g, v, k)
+            rooted = tuple(ids[w] for w in g.adj[v]) if k else ()
+            assert view.root_neighbor_ids() == rooted
+            assert view.root_neighbor_ids() == tuple(
+                ids[t.nodes[j]] for j in t.graph.adj[0]
+            )
+            assert view.node_ids() == tuple(ids[u] for u in t.nodes)
+            for j, u in enumerate(t.nodes):
+                assert view.neighbor_ids(ids[u]) == tuple(
+                    ids[t.nodes[i]] for i in t.graph.adj[j]
+                )
+            return len(view.root_neighbor_ids())
+
+        # every accessor returns a tuple, also for one neighbour or none
+        assert run_local(g, k, probe, lab) == (
+            [0] * 7 if k == 0 else [4, 2, 2, 1, 2, 1, 0]
+        )
 
 
 def test_skip_local_max_always_covers(g14):
@@ -296,6 +327,35 @@ def test_measure_expectation_parallel_matches_serial(g14):
         assert serial == parallel
 
 
+def test_measure_expectation_caps_workers_at_cpu_count(g14, monkeypatch):
+    pools = []
+
+    class SerialPool:
+        # records what the pool is asked for and starts no process
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            pools[-1].append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = measure_expectation(g14.graph, 1, "skip-local-max", VC, trials=10, seed=3)
+    for cpus, workers, chunk in ((2, 2, 5), (3, 3, 4), (None, 1, 10)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rep = measure_expectation(
+            g14.graph, 1, "skip-local-max", VC, trials=10, seed=3, jobs=1000
+        )
+        assert pools[-1] == [workers, chunk]
+        assert rep == serial
+
+
 def test_mutual_edges_consistency(g14):
     lab = Labeling.generate(g14.graph.n, 2)
     outs = run_local(g14.graph, 1, alg_mutual_max_mm, lab)
@@ -308,6 +368,10 @@ def test_mutual_edges_tolerates_junk_outputs():
     lab = Labeling.generate(C4.n, 0)
     # booleans and None are not proposals; nothing should match
     assert mutual_edges(C4, lab, [True, None, 3, ()]) == []
+    # an unhashable id names no node, and the ids next to it still count
+    a, b = lab.ids[0], lab.ids[1]
+    assert mutual_edges(C4, lab, [[[b]], [[a]], (), ()]) == []
+    assert mutual_edges(C4, lab, [[[b], b], [a, {a: 1}], (), ()]) == [(0, 1)]
 
 
 # ---------------------------------------------------------------------------
