@@ -206,7 +206,10 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
         for j in local:
             if j >= inner:
                 outer[j - inner].append(i)
-    adj.extend(tuple(nbrs) for nbrs in outer)
+    # depth-k nodes with equal neighbour lists (at k = 1, every leaf) share
+    # one tuple
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    adj.extend(shared.setdefault(t, t) for t in map(tuple, outer))
     return RootedSubgraph(
         graph=Graph(len(nodes), adj),
         root=v,

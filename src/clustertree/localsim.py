@@ -22,6 +22,7 @@ import random
 import statistics
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import compress
 from operator import itemgetter
 
 from .builder import DoubledGraph
@@ -50,22 +51,51 @@ class Labeling:
 
     @classmethod
     def generate(cls, n: int, seed: int) -> "Labeling":
+        """The ids ``random.Random(seed).sample(range(1, n**3 + 1), n)``.
+
+        For n >= 3 ``sample`` takes its set branch, inlined here without a
+        method call per id: each id is ``r + 1`` for the first draw ``r =
+        getrandbits(top.bit_length())`` below ``top = n**3`` and not drawn
+        before, with the same ``getrandbits`` calls. For n <= 2 ``sample``
+        draws from a pool instead.
+        """
         rng = random.Random(seed)
-        ids = tuple(rng.sample(range(1, n**3 + 1), n)) if n else ()
-        return cls(ids=ids, rng_seed=seed)
+        if n <= 2:
+            return cls(ids=tuple(rng.sample(range(1, n**3 + 1), n)), rng_seed=seed)
+        top = n**3
+        bits = top.bit_length()
+        getrandbits = rng.getrandbits
+        drawn: dict[int, None] = {}  # keeps the draw order
+        for _ in range(n):
+            r = getrandbits(bits)
+            while r >= top or r in drawn:
+                r = getrandbits(bits)
+            drawn[r] = None
+        return cls(ids=tuple(map((1).__add__, drawn)), rng_seed=seed)
+
+
+def _getter(idx):
+    """One C-level callable ``seq -> tuple(seq[i] for i in idx)``."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    # a getter over one index returns a bare item, and over none raises;
+    # a slice of a tuple is a tuple
+    i = idx[0] if idx else 0
+    return itemgetter(slice(i, i + len(idx)))
 
 
 @lru_cache(maxsize=8)
-def _view_templates(g: Graph, k: int) -> list[RootedSubgraph]:
-    return [k_hop_subgraph(g, v, k) for v in range(g.n)]
+def _view_templates(g: Graph, k: int) -> list[tuple[RootedSubgraph, itemgetter]]:
+    """One frame per node: its view and a getter of its root's neighbours.
 
-
-def _pick(seq, idx) -> tuple:
-    """``tuple(seq[i] for i in idx)`` in one C-level ``itemgetter`` call."""
-    if len(idx) > 1:
-        return itemgetter(*idx)(seq)
-    # a getter over one index returns a bare item, and over none raises
-    return (seq[idx[0]],) if idx else ()
+    The getter is built over ``g.adj[v]``, the root's neighbours in
+    ascending host index as in the view, and keeps no tuple of its own
+    alive; at k = 0 the root sees no neighbour.
+    """
+    return [
+        (k_hop_subgraph(g, v, k), _getter(g.adj[v] if k else ()))
+        for v in range(g.n)
+    ]
 
 
 class View:
@@ -74,10 +104,12 @@ class View:
     All accessors speak identifiers, never global node indices.
     """
 
-    __slots__ = ("_t", "_ids", "_tape_seed", "k", "_index")
+    __slots__ = ("_t", "_root_nbrs", "_ids", "_tape_seed", "k", "_index")
 
-    def __init__(self, template: RootedSubgraph, ids, tape_seed: int, k: int):
-        self._t = template
+    def __init__(
+        self, frame: tuple[RootedSubgraph, itemgetter], ids, tape_seed: int, k: int
+    ):
+        self._t, self._root_nbrs = frame
         self._ids = ids
         self._tape_seed = tape_seed
         self.k = k
@@ -85,18 +117,16 @@ class View:
 
     @property
     def root_id(self) -> int:
-        return self._ids[self._t.nodes[0]]
+        return self._ids[self._t.root]
 
     def node_count(self) -> int:
         return len(self._t.nodes)
 
     def node_ids(self) -> tuple[int, ...]:
-        return _pick(self._ids, self._t.nodes)
+        return _getter(self._t.nodes)(self._ids)
 
     def root_neighbor_ids(self) -> tuple[int, ...]:
-        # the root's local neighbours are 1..deg, in ascending host index
-        t = self._t
-        return _pick(self._ids, t.nodes[1 : 1 + len(t.graph.adj[0])])
+        return self._root_nbrs(self._ids)
 
     def _local(self, node_id: int) -> int:
         if self._index is None:
@@ -107,7 +137,8 @@ class View:
 
     def neighbor_ids(self, node_id: int) -> tuple[int, ...]:
         t = self._t
-        return _pick(self._ids, _pick(t.nodes, t.graph.adj[self._local(node_id)]))
+        hosts = _getter(t.graph.adj[self._local(node_id)])(t.nodes)
+        return _getter(hosts)(self._ids)
 
     def depth_of(self, node_id: int) -> int:
         return self._t.depth[self._local(node_id)]
@@ -149,17 +180,16 @@ def run_local(
     """
     if len(labeling.ids) != g.n:
         raise ValueError("labeling does not match graph size")
-    templates = _view_templates(g, k)
     tape_seed = (labeling.rng_seed * _MIX + tape_salt * 0x94D049BB133111EB) & _MASK
     ids = labeling.ids
     return [
-        algorithm(View(templates[v], ids, tape_seed, k)) for v in range(g.n)
+        algorithm(View(frame, ids, tape_seed, k)) for frame in _view_templates(g, k)
     ]
 
 
 def selected_nodes(outputs: list) -> tuple[int, ...]:
     """Node indices whose output is truthy (for vc/ds/mis algorithms)."""
-    return tuple(v for v, out in enumerate(outputs) if out)
+    return tuple(compress(range(len(outputs)), outputs))
 
 
 def mutual_edges(g: Graph, labeling: Labeling, outputs: list) -> list[tuple[int, int]]:
@@ -312,9 +342,13 @@ def validate_solution(g: Graph, kind: str, solution) -> bool:
     n, adj = g.n, g.adj
     mark = bytearray(n)
     if kind in NODE_KINDS:
-        for v in solution:
-            if not _is_node(v, n):
-                return False
+        nodes = list(solution)
+        # the type check comes first, so min and max compare only ints
+        if nodes and not (
+            set(map(type, nodes)) == {int} and min(nodes) >= 0 and max(nodes) < n
+        ):
+            return False
+        for v in nodes:
             mark[v] = 1
         if kind == VC:
             return _covers(adj, mark)
@@ -558,13 +592,14 @@ def measure_expectation(
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
     trial = partial(_one_trial, g, k, algorithm, kind)
 
+    # no more workers than CPUs, and no pool for one worker
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         import concurrent.futures as cf
 
-        # no more workers than CPUs, one chunk per worker, and no worker
-        # without a chunk: each unpickles the graph once and reuses its
-        # view templates for the rest of the chunk
-        jobs = min(jobs, os.cpu_count() or 1)
+        # one chunk per worker, and no worker without a chunk: each
+        # unpickles the graph once and reuses its view frames for the rest
+        # of the chunk
         chunk = math.ceil(trials / jobs)
         with cf.ProcessPoolExecutor(max_workers=math.ceil(trials / chunk)) as pool:
             results = list(pool.map(trial, trial_seeds, chunksize=chunk))

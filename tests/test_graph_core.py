@@ -16,6 +16,7 @@ from clustertree.graph import (
     k_hop_subgraph,
     line_graph,
 )
+from clustertree.lifts import VoltageLift
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -108,6 +109,39 @@ def test_k_hop_is_tree_under_high_girth():
     c16 = Graph.from_edges(16, [(i, (i + 1) % 16) for i in range(16)])
     sub = k_hop_subgraph(c16, 4, 3)
     assert sub.graph.edge_count() == len(sub.nodes) - 1
+
+
+def _host_view_adjacency(g, sub):
+    """The view's local adjacency, built from the host's edges at the
+    nodes below depth k by the validating constructor."""
+    index = {u: i for i, u in enumerate(sub.nodes)}
+    edges = {
+        tuple(sorted((i, index[w])))
+        for i, u in enumerate(sub.nodes)
+        if sub.depth[i] < sub.k
+        for w in g.neighbors(u)
+    }
+    return Graph.from_edges(len(sub.nodes), sorted(edges)).adj
+
+
+def test_shared_leaf_tuples_change_no_view(g14, g26):
+    g = g14.graph
+    picks = sorted(random.Random(3).sample(range(g.n), 8))
+    for k, tree in ((1, True), (2, False)):
+        for v in picks:
+            sub = k_hop_subgraph(g, v, k)
+            assert sub.graph.adj == _host_view_adjacency(g, sub)
+            assert sub.is_tree() is tree
+    # at k = 1 every leaf of a view holds the one tuple (0,)
+    star = k_hop_subgraph(g, picks[0], 1).graph.adj[1:]
+    assert len({id(t) for t in star}) == 1 < len(star)
+    lift = VoltageLift(g26)
+    groups = g26.cluster_nodes()
+    for v in (lift.node(groups[0][0], 0), lift.node(groups[1][0], 1)):
+        sub = k_hop_subgraph(lift, v, 2)
+        assert len(sub.nodes) == 8078
+        assert sub.graph.adj == _host_view_adjacency(lift, sub)
+        assert sub.is_tree()
 
 
 def test_line_graph_examples():

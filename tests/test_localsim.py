@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import statistics
 
 import pytest
@@ -61,6 +62,17 @@ def test_labeling_distinct_in_range_reproducible():
     assert len(set(a.ids)) == 50
     assert all(1 <= x <= 50**3 for x in a.ids)
     assert Labeling.generate(50, 124) != a
+
+
+def test_labeling_matches_random_sample():
+    # every report is built from these ids: they stay those of
+    # random.sample, also for n <= 2, where sample draws from a pool
+    cases = [(n, s) for n in range(301) for s in range(10)]
+    cases += [(4624, s) for s in range(3)]
+    for n, s in cases:
+        expected = tuple(random.Random(s).sample(range(1, n**3 + 1), n))
+        assert Labeling.generate(n, s).ids == expected
+    assert Labeling.generate(0, 0).ids == ()
 
 
 def test_zero_round_view_is_bare_node(g14):
@@ -215,6 +227,23 @@ def test_validate_matchings():
     assert not validate_solution(P4, MAXM, [5])
 
 
+def test_validate_node_kinds_never_raise_on_mixed_entries():
+    valid = {
+        (K3, VC): [0, 1],
+        (K3, DS): [0],
+        (K3, MIS): [0],
+        (P4, VC): [1, 2],
+        (P4, DS): [1, 2],
+        (P4, MIS): [0, 2],
+    }
+    for (g, kind), nodes in valid.items():
+        for bad in (["x", 0], [0, None], [None], [2**70], [-1, "x"], [1.0, 0]):
+            assert validate_solution(g, kind, bad) is False
+        # any iterable of node indices is a solution
+        assert validate_solution(g, kind, (v for v in nodes)) is True
+        assert validate_solution(g, kind, set(nodes)) is True
+
+
 def test_validate_mm_endpoints_cover():
     mm = greedy_maximal_matching(P4)
     endpoints = sorted({x for e in mm for x in e})
@@ -347,12 +376,14 @@ def test_measure_expectation_caps_workers_at_cpu_count(g14, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = measure_expectation(g14.graph, 1, "skip-local-max", VC, trials=10, seed=3)
-    for cpus, workers, chunk in ((2, 2, 5), (3, 3, 4), (None, 1, 10)):
+    # [max_workers, chunksize] of the one pool, or no pool for one worker
+    for cpus, pool in ((2, [2, 5]), (3, [3, 4]), (None, None), (1, None)):
+        pools.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rep = measure_expectation(
             g14.graph, 1, "skip-local-max", VC, trials=10, seed=3, jobs=1000
         )
-        assert pools[-1] == [workers, chunk]
+        assert pools == ([pool] if pool else [])
         assert rep == serial
 
 
