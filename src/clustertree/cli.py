@@ -229,13 +229,6 @@ def _cmd_verify_iso(args) -> int:
 
 def _cmd_simulate(args) -> int:
     gf = read_graph_json(args.graph)
-    if args.alg not in localsim.ALGORITHMS:
-        print(
-            f"unknown algorithm {args.alg!r}; available: "
-            f"{', '.join(sorted(localsim.ALGORITHMS))}",
-            file=sys.stderr,
-        )
-        return 2
     report = localsim.measure_expectation(
         gf.graph,
         args.k,
@@ -342,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("simulate", help="measure a LOCAL algorithm over trials")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alg", required=True)
+    p.add_argument("--alg", required=True, choices=list(localsim.ALGORITHMS))
     p.add_argument("--kind", required=True, choices=list(localsim.KINDS))
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)

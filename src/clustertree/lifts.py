@@ -50,18 +50,17 @@ class CoveringMap:
 def verify_covering_map(cm: CoveringMap) -> bool:
     """Check surjectivity, adjacency preservation and local bijectivity.
 
-    Also checks that fiber sizes agree whenever the target is connected
-    (they must, by the standard covering-space argument).
+    Equal fibre sizes over a connected target need no check of their
+    own: a node over t has exactly one neighbour over each neighbour t'
+    of t, so adjacent fibres are equal in size, and over a connected
+    target all of them are.
     """
     src, tgt, phi = cm.source, cm.target, cm.map
     if len(phi) != src.n:
         return False
     if any(not (0 <= t < tgt.n) for t in phi):
         return False
-    fibers = [0] * tgt.n
-    for t in phi:
-        fibers[t] += 1
-    if tgt.n > 0 and min(fibers) == 0:
+    if len(set(phi)) != tgt.n:
         return False
     # target lists hold no duplicates, so equal sorted images mean the
     # neighbours map one-to-one onto the target neighbourhood
@@ -69,9 +68,6 @@ def verify_covering_map(cm: CoveringMap) -> bool:
     image = phi.__getitem__
     for v in range(src.n):
         if sorted(map(image, src.adj[v])) != want[phi[v]]:
-            return False
-    if tgt.n > 0 and len(tgt.connected_components()) == 1:
-        if len(set(fibers)) > 1:
             return False
     return True
 
@@ -306,12 +302,14 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     Requires m >= 2 * sum((delta-1)^i, i=0..girth_target-2). Starting from
     the cycle on 2m nodes, degrees are raised one level at a time: add an
     edge between two deficient nodes at distance >= girth_target - 1
-    whenever possible; otherwise locate an edge with both endpoints far
-    from the two smallest deficient nodes, delete it, and reconnect its
-    endpoints to them. Every step reduces total deficiency by two, so the
-    process terminates; the exchange argument guarantees a usable edge
-    always exists, and a defensive cap turns any violation into an error
-    instead of a hang.
+    whenever possible; otherwise swap an edge xy with both endpoints at
+    distance >= girth_target - 1 from the two smallest deficient nodes
+    v' < w' for the edges xv' and yw'. The swapped edge is the one with
+    the smallest x and, for that x, the smallest partner y > x, so the
+    output follows from these rules alone. Every step reduces total
+    deficiency by two, so the process terminates; the exchange argument
+    guarantees a usable edge always exists, and a defensive cap turns
+    any violation into an error instead of a hang.
     """
     if delta < 2:
         raise ValueError("degree must be at least 2")
@@ -324,21 +322,12 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
             f"delta={delta}, girth>={girth_target}"
         )
     n = 2 * m
-    adj: list[set[int]] = [set() for _ in range(n)]
-    # mask[v] has bit w set iff w is adjacent to v; kept in step with adj
+    # mask[v] has bit w set iff w is adjacent to v
     mask = [0] * n
 
     def link(u: int, w: int) -> None:
-        adj[u].add(w)
-        adj[w].add(u)
         mask[u] |= 1 << w
         mask[w] |= 1 << u
-
-    def unlink(u: int, w: int) -> None:
-        adj[u].remove(w)
-        adj[w].remove(u)
-        mask[u] &= ~(1 << w)
-        mask[w] &= ~(1 << u)
 
     for v in range(n):
         link(v, (v + 1) % n)
@@ -387,7 +376,7 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
         ops = 0
         cap = 4 * m + 16
         while True:
-            deficient = [v for v in range(n) if len(adj[v]) < target]
+            deficient = [v for v in range(n) if mask[v].bit_count() < target]
             if not deficient:
                 break
             ops += 1
@@ -418,27 +407,31 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
             # stuck: swap an edge remote from the two smallest deficient nodes
             vp, wp = deficient[0], deficient[1]
             near = ball(vp, girth_target - 2) | ball(wp, girth_target - 2)
-            swap = None
             for x in range(n):
-                if near >> x & 1:
-                    continue
-                # set order, not ascending: the recorded digests pin it
-                for y in adj[x]:
-                    if y > x and not near >> y & 1:
-                        swap = (x, y)
-                        break
-                if swap:
+                # bit j: x + 1 + j is a neighbour of x outside near
+                partners = (mask[x] & ~near) >> x >> 1
+                if partners and not near >> x & 1:
                     break
-            if swap is None:
+            else:
                 raise IterationLimitError(
                     "no swappable edge outside the deficient balls; bug"
                 )
-            x, y = swap
-            unlink(x, y)
+            y = x + (partners & -partners).bit_length()
+            # unlink x and y, then join them to vp and wp
+            mask[x] ^= 1 << y
+            mask[y] ^= 1 << x
             link(x, vp)
             link(y, wp)
 
-    out = Graph(n, [tuple(sorted(nbrs)) for nbrs in adj])
+    adj = []
+    for bits in mask:
+        nbrs = []
+        while bits:
+            low = bits & -bits
+            nbrs.append(low.bit_length() - 1)
+            bits ^= low
+        adj.append(tuple(nbrs))
+    out = Graph(n, adj)
     if any(len(nbrs) != delta for nbrs in out.adj):
         raise IterationLimitError("output is not regular; bug")
     if not girth_at_least(out, girth_target):

@@ -6,6 +6,7 @@ import pytest
 
 from clustertree.builder import build_low_girth
 from clustertree.graph import Graph
+from clustertree.lifts import high_girth_regular
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +22,14 @@ def g16():
 @pytest.fixture(scope="session")
 def g26():
     return build_low_girth(2, 6)
+
+
+@pytest.fixture(scope="session")
+def high_girth_graphs():
+    """high_girth_regular(d, g, m) for the recorded digests and the
+    networkx girth oracle; (25, 3, 50) is the (1,5) pipeline's call."""
+    params = ((16, 3, 32), (25, 3, 50), (4, 5, 80), (3, 6, 64), (3, 6, 62))
+    return {p: high_girth_regular(*p) for p in params}
 
 
 def make_random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -12,7 +12,7 @@ from clustertree.cli import dispatch
 # identical byte for byte; a change that alters one on purpose updates
 # the digest and says why in CHANGES.md.
 GOLDEN = {
-    "pipeline-1-4": "078281dd7f5731444475b24039248946b507cd96c6e29ad6528f7628c3ca6cbe",
+    "pipeline-1-4": "0b4327e572bfabbb122d6b175c1e1b6b59a281245443de9b07ee5119c3bbddc6",
     "pipeline-1-4-map": "47104c868a0a0988008d4e1ebc35b3460f51bbae78f8b3a0affce5bb02cab6ef",
     "verify-iso-pipeline-1-4": "dd1c66efb0a6831b144bfd51a2d3419a2cb14f8624bc8a4b6871949fd88289f7",
     "build-1-4": "0f091a7d403ed391c5a5fcaf546a0268b67a47732964d254e9be028971116415",
@@ -116,19 +116,24 @@ def test_simulate_writes_report(tmp_path):
     assert "environment" in doc
 
 
-def test_simulate_unknown_algorithm(tmp_path):
+def test_simulate_unknown_algorithm(tmp_path, capsys):
     gpath = tmp_path / "g.json"
     run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)])
-    assert run(
-        [
-            "simulate",
-            "--graph", str(gpath),
-            "--k", "1",
-            "--alg", "nope",
-            "--kind", "vc",
-            "--trials", "1",
-        ]
-    ) == 2
+    # the name is rejected whether or not the graph file exists, and
+    # before it is read
+    for graph in (gpath, tmp_path / "missing.json"):
+        capsys.readouterr()
+        assert run(
+            [
+                "simulate",
+                "--graph", str(graph),
+                "--k", "1",
+                "--alg", "nope",
+                "--kind", "vc",
+                "--trials", "1",
+            ]
+        ) == 2
+        assert "'nope'" in capsys.readouterr().err
 
 
 def test_lift_ops(tmp_path):

@@ -167,9 +167,9 @@ def test_verify_rejects_bad_maps():
 
 
 def test_verify_rejects_neighbourhoods_that_do_not_biject():
-    # the target P3 plus an isolated node is disconnected, so no fibre
-    # check applies: the star's centre maps its three leaves onto the two
-    # target neighbours of node 1, repeating node 0
+    # the map is onto the target, P3 plus an isolated node, but the
+    # star's centre maps its three leaves onto the two target neighbours
+    # of node 1, repeating node 0
     p3_plus = Graph.from_edges(4, [(0, 1), (1, 2)])
     star_plus = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])
     assert not verify_covering_map(
@@ -309,13 +309,13 @@ def test_high_girth_deterministic():
     assert a.edges() == b.edges()
 
 
-# sha256 of repr(high_girth_regular(d, g, m).edges()), recorded before
-# the pair search moved to bitmask BFS layers; (25, 3, 50) is the
-# generator call of the (1,5) pipeline
+# sha256 of repr(high_girth_regular(d, g, m).edges()), recorded once the
+# swap took partners in ascending order; (25, 3, 50) is the generator
+# call of the (1,5) pipeline
 HIGH_GIRTH_DIGESTS = {
-    (16, 3, 32): "2bb0bf86fd22c6728a42b1d82622a21fca1acd9ef2e25dade22c7c7778be0ee8",
-    (25, 3, 50): "e1ba98d23e8dced38022d790fc8e860f916665cb15f9d144d5756b18930c68ae",
-    (4, 5, 80): "6ab656fdbff1b84c84962bb4cb478c036c1d30d56960649a685d7d6d67156d5a",
+    (16, 3, 32): "8096a34ce77dbecd9a844b7299a3fe94eabc19cc03002b4e5413218d54ea15b0",
+    (25, 3, 50): "ad09e186ce309ab977e7b88f9227517f3a3b6c6185dd7d2d6929310adef2a328",
+    (4, 5, 80): "277247089a625f27cde51e67867d3d55eeaf5a43a2ddf774c3048d39e6ccd4c1",
     (3, 6, 64): "37c63680cc3cf0aeb0a3e339200d44f154b518c0de4c59fb89d503e4899c2908",
 }
 
@@ -323,8 +323,8 @@ HIGH_GIRTH_DIGESTS = {
 @pytest.mark.parametrize(
     "params", sorted(HIGH_GIRTH_DIGESTS), ids=lambda p: "-".join(map(str, p))
 )
-def test_high_girth_edges_match_recorded_digests(params):
-    edges = high_girth_regular(*params).edges()
+def test_high_girth_edges_match_recorded_digests(params, high_girth_graphs):
+    edges = high_girth_graphs[params].edges()
     digest = hashlib.sha256(repr(edges).encode()).hexdigest()
     assert digest == HIGH_GIRTH_DIGESTS[params]
 
@@ -424,12 +424,12 @@ def test_pipeline_with_odd_degree(tmp_path):
     # supergraph step through the whole stack
     ct, phi = build_high_girth_ct(1, 5)
     # the bytes `lift --op pipeline --k 1 --beta 5` writes, as recorded
-    # before the generator, lift and JSON writer were sped up
+    # once the generator's swap took partners in ascending order
     out = tmp_path / "g15.json"
     meta = {"k": 1, "beta": 5, "stage": "high-girth"}
     write_graph_json(str(out), ct.graph, ct.cluster_of, meta)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "87fabbc6216902c0e10f72ac28332dd61c02799ba002c7858aea411ef2174454"
+        "c88b3518d2210ce5a6847dab84e9aa151c789088c254022a0896057bb98f4b71"
     )
     assert ct.graph.n % 180 == 0
     assert validate_ct_graph(ct).ok

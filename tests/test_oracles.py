@@ -1,0 +1,95 @@
+"""networkx as an independent oracle for the girth sweep and the
+covering-map check."""
+
+from __future__ import annotations
+
+import pytest
+
+from clustertree.graph import Graph, girth, girth_at_least
+from clustertree.lifts import CoveringMap, verify_covering_map
+
+nx = pytest.importorskip("networkx")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def to_nx(g: Graph):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def cycle(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+SMALL_GRAPHS = {
+    "K3": cycle(3),
+    "C4": cycle(4),
+    "C5": cycle(5),
+    "C6": cycle(6),
+    "C7": cycle(7),
+    "Petersen": Graph.from_edges(
+        10,
+        [(i, (i + 1) % 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)],
+    ),
+    "forest": Graph.from_edges(9, [(0, 1), (1, 2), (1, 3), (4, 5), (6, 7)]),
+    "K33": Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+}
+
+
+def test_girth_matches_networkx(high_girth_graphs):
+    corpus = list(SMALL_GRAPHS.items()) + sorted(high_girth_graphs.items())
+    for name, g in corpus:
+        want = nx.girth(to_nx(g))
+        assert girth(g) == want, name
+        for bound in range(2, 10):
+            assert girth_at_least(g, bound) == (want >= bound), (name, bound)
+
+
+@st.composite
+def maps(draw):
+    """A target graph on at most 5 nodes, often disconnected, and a map
+    onto it: a random permutation lift of each target component (folds
+    differ between components), sometimes with map entries or source
+    edges changed afterwards."""
+    nt = draw(st.integers(1, 5))
+    pairs = [(a, b) for a in range(nt) for b in range(a + 1, nt)]
+    tedges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    target = Graph.from_edges(nt, tedges)
+    fold = [0] * nt
+    for comp in target.connected_components():
+        f = draw(st.integers(1, 3))
+        for t in comp:
+            fold[t] = f
+    # source node (t, i) is index start[t] + i and lies over t
+    start = [sum(fold[:t]) for t in range(nt)]
+    phi = [t for t in range(nt) for _ in range(fold[t])]
+    sedges = set()
+    for a, b in tedges:
+        perm = draw(st.permutations(range(fold[a])))
+        sedges.update((start[a] + i, start[b] + p) for i, p in enumerate(perm))
+    ns = len(phi)
+    moves = st.tuples(st.integers(0, ns - 1), st.integers(0, nt - 1))
+    for v, t in draw(st.lists(moves, max_size=2)):
+        phi[v] = t
+    if ns > 1:
+        extra = st.tuples(st.integers(0, ns - 1), st.integers(0, ns - 1))
+        for u, v in draw(st.lists(extra, max_size=2)):
+            if u != v:
+                sedges ^= {(min(u, v), max(u, v))}
+    source = Graph.from_edges(ns, sorted(sedges))
+    return CoveringMap(source=source, target=target, map=tuple(phi))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(cm=maps())
+def test_covering_map_verdict_matches_networkx(cm):
+    src, tgt, phi = to_nx(cm.source), to_nx(cm.target), cm.map
+    want = set(phi) == set(tgt) and all(
+        sorted(phi[w] for w in src[v]) == sorted(tgt[phi[v]]) for v in src
+    )
+    assert verify_covering_map(cm) == want
