@@ -81,11 +81,11 @@ def build_matching_double(ct: CTGraph) -> DoubledGraph:
     """Disjoint double of ``ct.graph`` plus the perfect matching i <-> n+i."""
     g = ct.graph
     n = g.n
-    edges: list[tuple[int, int]] = []
-    edges.extend(g.edges())
-    edges.extend((u + n, v + n) for u, v in g.edges())
-    edges.extend((i, i + n) for i in range(n))
-    doubled = Graph.from_edges(2 * n, edges)
+    # each list stays sorted: every original index is below n, every
+    # copy index at least n
+    adj = [nbrs + (n + v,) for v, nbrs in enumerate(g.adj)]
+    adj.extend((v,) + tuple(n + w for w in nbrs) for v, nbrs in enumerate(g.adj))
+    doubled = Graph(2 * n, adj)
     m = len(ct.skeleton.clusters)
     cluster_of = tuple(ct.cluster_of) + tuple(c + m for c in ct.cluster_of)
     pairing = tuple(list(range(n, 2 * n)) + list(range(n)))

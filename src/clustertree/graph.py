@@ -138,13 +138,6 @@ class Graph:
                         return None
         return color
 
-    def is_forest(self) -> bool:
-        for comp in self.connected_components():
-            comp_edges = sum(len(self.adj[u]) for u in comp) // 2
-            if comp_edges != len(comp) - 1:
-                return False
-        return True
-
 
 @dataclass(frozen=True, slots=True)
 class RootedSubgraph:
@@ -234,8 +227,9 @@ def _shortest_cycle_sweep(
     found = False
     dist = [-1] * g.n
     parent = [-1] * g.n
+    in_tree = bytearray(g.n)  # nodes of components known to be acyclic
     for s in range(g.n):
-        if len(g.adj[s]) < 2:
+        if len(g.adj[s]) < 2 or in_tree[s]:
             continue
         touched = [s]
         dist[s] = 0
@@ -263,6 +257,10 @@ def _shortest_cycle_sweep(
         for u in touched:
             dist[u] = -1
             parent[u] = -1
+        if best is None:
+            # an unbounded BFS met no non-tree edge: its component is a tree
+            for u in touched:
+                in_tree[u] = 1
         if found and best <= floor:
             break
     return best if found else None
@@ -272,14 +270,13 @@ def girth(g: Graph) -> int | float:
     """Exact girth: length of the shortest cycle, INFINITE for forests.
 
     Computed by BFS from every node; stops as soon as the theoretical
-    minimum (3, or 4 for bipartite graphs) has been met.
+    minimum (3, or 4 for bipartite graphs) has been met. A forest needs
+    no pass of its own: the sweep finds no cycle in it, and runs one BFS
+    per tree component.
     """
-    if g.is_forest():
-        return INFINITE
     floor = 4 if g.two_coloring() is not None else 3
     hit = _shortest_cycle_sweep(g, None, floor=floor)
-    assert hit is not None
-    return hit
+    return INFINITE if hit is None else hit
 
 
 def girth_at_least(g: Graph, bound: int) -> bool:
@@ -307,19 +304,14 @@ def line_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     order); two line nodes are adjacent iff the edges share an endpoint.
     """
     edge_list = g.edges()
-    index = {e: i for i, e in enumerate(edge_list)}
-    incident: list[list[int]] = [[] for _ in range(g.n)]
+    incident: list[set[int]] = [set() for _ in range(g.n)]
     for i, (u, v) in enumerate(edge_list):
-        incident[u].append(i)
-        incident[v].append(i)
-    line_edges = set()
-    for ids in incident:
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                e = (ids[a], ids[b]) if ids[a] < ids[b] else (ids[b], ids[a])
-                line_edges.add(e)
-    lg = Graph.from_edges(len(edge_list), sorted(line_edges))
-    return lg, edge_list
+        incident[u].add(i)
+        incident[v].add(i)
+    # edge i = (u, v) meets every other edge at u or at v, and a simple
+    # graph has no second edge at both; ^ drops i itself
+    adj = [tuple(sorted(incident[u] ^ incident[v])) for u, v in edge_list]
+    return Graph(len(edge_list), adj), edge_list
 
 
 # ---------------------------------------------------------------------------

@@ -183,27 +183,14 @@ def find_isomorphism(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
         else:
             hv = toward[cv_id][cluster(pv)]
             hw = toward[cw_id][cluster(pw)]
-        if depth == 0:
-            audit.append(
-                AuditRecord(
-                    v=v,
-                    w=w,
-                    depth=d,
-                    position_v=clusters[cv_id].position,
-                    position_w=clusters[cw_id].position,
-                    history_v=hv,
-                    history_w=hw,
-                    bucket_lens_v=None,
-                    bucket_lens_w=None,
-                    case=None,
-                    special_case=False,
-                )
-            )
-            continue
-        nv = buckets(v, pv)
-        nw = buckets(w, pw)
-        special = map_buckets(nv, nw)
-        case = classify(hv, hw, cv_id, cw_id, d) if 0 < d < k else None
+        if depth:
+            nv = buckets(v, pv)
+            nw = buckets(w, pw)
+            special = map_buckets(nv, nw)
+            lens_v = tuple(map(len, nv))
+            lens_w = tuple(map(len, nw))
+        else:
+            nv, special, lens_v, lens_w = (), False, None, None
         audit.append(
             AuditRecord(
                 v=v,
@@ -213,14 +200,15 @@ def find_isomorphism(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
                 position_w=clusters[cw_id].position,
                 history_v=hv,
                 history_w=hw,
-                bucket_lens_v=tuple(len(b) for b in nv),
-                bucket_lens_w=tuple(len(b) for b in nw),
-                case=case,
+                bucket_lens_v=lens_v,
+                bucket_lens_w=lens_w,
+                case=classify(hv, hw, cv_id, cw_id, d) if 0 < d < k else None,
                 special_case=special,
             )
         )
-        for i in range(width - 1, -1, -1):
-            for vc in reversed(nv[i]):
+        # children are popped in bucket order, each bucket in order
+        for bucket in reversed(nv):
+            for vc in reversed(bucket):
                 stack.append((vc, forward[vc], v, w, depth - 1))
 
     return PartialIsomorphism(forward=forward, backward=backward, audit=audit)

@@ -20,7 +20,7 @@ import math
 import os
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import compress
 from operator import itemgetter
@@ -384,117 +384,107 @@ def exact_mvc_bipartite(g: Graph) -> tuple[int, tuple[int, ...]]:
 _EXACT_LIMIT = 40
 
 
-def _remove(adj: list[set[int]], x: int) -> list[tuple[int, int]]:
-    """Delete every edge at ``x``; returns them for :func:`_restore`."""
-    removed = [(x, w) for w in adj[x]]
-    for _, w in removed:
-        adj[x].discard(w)
-        adj[w].discard(x)
-    return removed
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _restore(adj: list[set[int]], removed: list[tuple[int, int]]) -> None:
-    for x, w in removed:
-        adj[x].add(w)
-        adj[w].add(x)
+def _nbr_masks(g: Graph) -> list[int]:
+    """Bit w of entry v is set iff w is adjacent to v."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adj]
 
 
 def _mvc_branch_bound(g: Graph) -> int:
-    adj = [set(nbrs) for nbrs in g.adj]
-    best = [g.n]
+    nbr = _nbr_masks(g)
 
-    def matching_lb(active_adj) -> int:
-        used = set()
+    def matching_lb(free: int) -> int:
+        """Size of a greedy matching among ``free``: a lower bound."""
         size = 0
-        for u in range(g.n):
-            if u in used:
-                continue
-            for w in active_adj[u]:
-                if w not in used:
-                    used.add(u)
-                    used.add(w)
-                    size += 1
-                    break
+        while free:
+            low = free & -free
+            free ^= low
+            mates = nbr[low.bit_length() - 1] & free
+            if mates:
+                free ^= mates & -mates
+                size += 1
         return size
 
-    def solve(chosen: int) -> None:
-        live = [u for u in range(g.n) if adj[u]]
+    def solve(alive: int, chosen: int, best: int) -> int:
+        """Best cover size: ``chosen`` plus a cover of the edges among
+        ``alive``, or ``best`` if none is smaller."""
+        live = [u for u in _members(alive) if nbr[u] & alive]
         if not live:
-            best[0] = min(best[0], chosen)
-            return
-        if chosen + matching_lb(adj) >= best[0]:
-            return
-        u = max(live, key=lambda x: (len(adj[x]), -x))
-        removed = _remove(adj, u)
-        solve(chosen + 1)
-        _restore(adj, removed)
+            return min(best, chosen)
+        if chosen + matching_lb(alive) >= best:
+            return best
+        # branch on the max-degree node: take it, or take its neighbours
+        u = max(live, key=lambda x: ((nbr[x] & alive).bit_count(), -x))
+        best = solve(alive & ~(1 << u), chosen + 1, best)
+        around = nbr[u] & alive
+        return solve(alive & ~around, chosen + around.bit_count(), best)
 
-        nbrs = list(adj[u])
-        stash = []
-        for w in nbrs:
-            stash.append(_remove(adj, w))
-        solve(chosen + len(nbrs))
-        for r in reversed(stash):
-            _restore(adj, r)
-
-    solve(0)
-    return best[0]
+    return solve((1 << g.n) - 1, 0, g.n)
 
 
 def _mds_branch_bound(g: Graph) -> int:
-    closed = [frozenset(g.adj[v]) | {v} for v in range(g.n)]
-    best = [g.n]
-    max_cover = max(len(c) for c in closed) if g.n else 1
+    closed = [m | 1 << v for v, m in enumerate(_nbr_masks(g))]
+    width = [c.bit_count() for c in closed]
+    widest = max(width, default=1)
 
-    def solve(dominated: frozenset[int], size: int) -> None:
-        if size >= best[0]:
-            return
-        undominated = [v for v in range(g.n) if v not in dominated]
+    def solve(undominated: int, size: int, best: int) -> int:
+        """Best dominating set size: ``size`` plus a set dominating
+        ``undominated``, or ``best`` if none is smaller."""
+        if size >= best:
+            return best
         if not undominated:
-            best[0] = size
-            return
-        if size + math.ceil(len(undominated) / max_cover) >= best[0]:
-            return
-        u = min(undominated, key=lambda v: len(closed[v]))
-        cands = sorted(closed[u], key=lambda c: -len(closed[c] - dominated))
+            return size
+        if size + math.ceil(undominated.bit_count() / widest) >= best:
+            return best
+        # one of the closed neighbours of u must be chosen: branch on the
+        # undominated node with the fewest, widest candidate first
+        u = min(_members(undominated), key=width.__getitem__)
+        cands = sorted(
+            _members(closed[u]), key=lambda c: -(closed[c] & undominated).bit_count()
+        )
         for c in cands:
-            solve(dominated | closed[c], size + 1)
+            best = solve(undominated & ~closed[c], size + 1, best)
+        return best
 
-    solve(frozenset(), 0)
-    return best[0]
+    return solve((1 << g.n) - 1, 0, g.n)
 
 
 def _maxm_branch_bound(g: Graph) -> int:
-    adj = [set(nbrs) for nbrs in g.adj]
-    best = [0]
+    nbr = _nbr_masks(g)
 
-    def solve(size: int) -> None:
-        live = [u for u in range(g.n) if adj[u]]
-        if size + len(live) // 2 <= best[0]:
-            return
+    def solve(alive: int, size: int, best: int) -> int:
+        """Best matching size: ``size`` plus a matching among ``alive``,
+        or ``best`` if none is larger."""
+        live = [u for u in _members(alive) if nbr[u] & alive]
+        if size + len(live) // 2 <= best:
+            return best
         if not live:
-            best[0] = max(best[0], size)
-            return
-        u = min(live, key=lambda x: (len(adj[x]), x))
-        for w in sorted(adj[u]):
-            ru = _remove(adj, u)
-            rw = _remove(adj, w)
-            solve(size + 1)
-            _restore(adj, rw)
-            _restore(adj, ru)
-        ru = _remove(adj, u)
-        solve(size)
-        _restore(adj, ru)
-        best[0] = max(best[0], size)
+            return size
+        # branch on the min-degree node: match it to each neighbour, or not
+        u = min(live, key=lambda x: ((nbr[x] & alive).bit_count(), x))
+        rest = alive & ~(1 << u)
+        for w in _members(nbr[u] & alive):
+            best = solve(rest & ~(1 << w), size + 1, best)
+        return solve(rest, size, best)
 
-    solve(0)
-    return best[0]
+    return solve((1 << g.n) - 1, 0, 0)
 
 
 def exact_small(g: Graph, kind: str) -> int:
     """Exact optimum for small instances (branch and bound).
 
-    Vertex cover and dominating set are limited to 40 nodes; maximum
+    Each search state is one bitmask over the nodes, and each node's
+    neighbours are one bitmask too; a branch passes on a new mask and
+    returns its best value, so nothing is undone. Vertex cover and dominating set are limited to 40 nodes; maximum
     matching uses augmenting paths on bipartite graphs of any size and
     branch and bound (also limited) otherwise.
     """
@@ -532,17 +522,8 @@ class SimulationReport:
     ratio: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "sizes": list(self.sizes),
-            "valid": list(self.valid),
-            "mean": self.mean,
-            "std": self.std,
-            "all_valid": self.all_valid,
-            "oracle": self.oracle,
-            "ratio": self.ratio,
-        }
+        # JSON writes the tuples as arrays
+        return asdict(self)
 
 
 def _oracle_optimum(g: Graph, kind: str) -> int | None:
@@ -563,7 +544,7 @@ def _oracle_optimum(g: Graph, kind: str) -> int | None:
 def measure_expectation(
     g: Graph,
     k: int,
-    algorithm,
+    algorithm: str,
     kind: str,
     trials: int,
     seed: int,
@@ -573,9 +554,9 @@ def measure_expectation(
 
     Outputs are validated per trial; the ratio against the exact oracle
     is reported only when every trial was valid and an oracle applies.
-    With ``jobs`` > 1, trials run in a process pool and are merged in
-    seed order, so reports are identical regardless of parallelism
-    (``algorithm`` must then be a registry name).
+    ``algorithm`` is a name in :data:`ALGORITHMS`. With ``jobs`` > 1,
+    trials run in a process pool and are merged in seed order, so
+    reports are identical regardless of parallelism.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -583,11 +564,8 @@ def measure_expectation(
         raise ValueError("need at least one job")
     if kind not in KINDS:
         raise ValueError(f"unknown solution kind {kind!r}")
-    if isinstance(algorithm, str):
-        if algorithm not in ALGORITHMS:
-            raise KeyError(algorithm)
-    elif jobs > 1:
-        raise ValueError("parallel trials need a registered algorithm name")
+    if algorithm not in ALGORITHMS:
+        raise KeyError(algorithm)
     rng = random.Random(seed)
     trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
     trial = partial(_one_trial, g, k, algorithm, kind)
@@ -629,12 +607,11 @@ def measure_expectation(
 
 
 def _one_trial(
-    g: Graph, k: int, algorithm, kind: str, trial_seed: int
+    g: Graph, k: int, algorithm: str, kind: str, trial_seed: int
 ) -> tuple[int, bool]:
     # pool workers receive the registry name: a name always pickles
-    fn = ALGORITHMS[algorithm] if isinstance(algorithm, str) else algorithm
     labeling = Labeling.generate(g.n, trial_seed)
-    outputs = run_local(g, k, fn, labeling)
+    outputs = run_local(g, k, ALGORITHMS[algorithm], labeling)
     if kind in NODE_KINDS:
         solution = selected_nodes(outputs)
     else:

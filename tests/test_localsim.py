@@ -9,6 +9,7 @@ import statistics
 
 import pytest
 
+from clustertree import localsim
 from clustertree.builder import build_matching_double
 from clustertree.errors import (
     GirthTooLowError,
@@ -327,6 +328,15 @@ def test_measure_expectation_reproducible(g14):
     assert a == b
     assert a.std == 0.0
     assert a.all_valid
+
+
+def test_measure_expectation_rejects_unknown_name(g14, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(localsim, "_one_trial", no_trial)
+    with pytest.raises(KeyError):
+        measure_expectation(g14.graph, 1, "no-such-alg", VC, trials=2, seed=0)
 
 
 def test_measure_expectation_always_select(g14):

@@ -1,12 +1,17 @@
-"""networkx as an independent oracle for the girth sweep and the
-covering-map check."""
+"""networkx as an independent oracle for the girth sweep, the
+covering-map check and the exact small-instance solvers."""
 
 from __future__ import annotations
 
-import pytest
+import itertools
+import random
 
-from clustertree.graph import Graph, girth, girth_at_least
+import pytest
+from conftest import make_random_graph
+
+from clustertree.graph import Graph, girth, girth_at_least, line_graph
 from clustertree.lifts import CoveringMap, verify_covering_map
+from clustertree.localsim import DS, MAXM, VC, exact_small, validate_solution
 
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
@@ -93,3 +98,43 @@ def test_covering_map_verdict_matches_networkx(cm):
         sorted(phi[w] for w in src[v]) == sorted(tgt[phi[v]]) for v in src
     )
     assert verify_covering_map(cm) == want
+
+
+def test_exact_small_matches_networkx(small_corpus):
+    # odd cycles, the Petersen graph, line graphs and denser random graphs
+    # send maximum matching to branch and bound
+    rng = random.Random(5)
+    dense = [make_random_graph(rng, n, 5 / n) for n in range(12, 41, 4)]
+    lines = [lg for lg, _ in map(line_graph, small_corpus) if lg.n <= 40][:6]
+    corpus = list(small_corpus) + list(SMALL_GRAPHS.values()) + dense + lines
+    assert sum(g.two_coloring() is None for g in corpus) >= 20
+    for i, g in enumerate(corpus):
+        h = to_nx(g)
+        # a cover is the complement of an independent set, a clique of
+        # the complement graph
+        _, mis = nx.max_weight_clique(nx.complement(h), weight=None)
+        assert exact_small(g, VC) == g.n - mis, i
+        mm = nx.max_weight_matching(h, maxcardinality=True)
+        assert exact_small(g, MAXM) == len(mm), i
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(g=small_graphs())
+def test_exact_small_ds_matches_brute_force(g):
+    want = next(
+        size
+        for size in range(g.n + 1)
+        if any(
+            validate_solution(g, DS, nodes)
+            for nodes in itertools.combinations(range(g.n), size)
+        )
+    )
+    assert exact_small(g, DS) == want
