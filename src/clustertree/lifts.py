@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add
 
 from .builder import build_low_girth
 from .errors import (
@@ -136,6 +138,17 @@ def common_lift(
     Both bipartite graphs are decomposed into perfect matchings M_i and
     M'_i, and the lift lives on the node pairs: (v, w) and (v', w') are
     adjacent iff for some i, {v, v'} is in M_i and {w, w'} is in M'_i.
+
+    Both projections are checked on the bases rather than on the lift.
+    Lift node (v, w) has exactly one neighbour per index i, namely
+    (mate_i(v), mate'_i(w)), so the first projection maps its neighbours
+    to down(mate_i(v)), i = 1..d, whatever w is. The per-node condition
+    of :func:`verify_covering_map` is therefore one fact for all copies
+    of v: it holds on the whole lift iff, for every node v of the first
+    base, those d images are h's neighbours of down(v), one to one, and
+    down is onto h. The same goes for the second projection over
+    h_prime. The witness also fails when the matchings do not partition
+    a base's edges, say when two of them share an edge.
     """
     d1 = _require_regular(h)
     d2 = _require_regular(h_prime)
@@ -166,25 +179,39 @@ def common_lift(
             out.append(mate)
         return out
 
-    # node (v, w) has exactly one neighbour per matching index i, and the
-    # matchings of b1 are edge-disjoint, so the lift is simple as built
+    def projects_onto(mates: list[list[int]], down: Sequence[int], g: Graph) -> bool:
+        # every base node's d mates map one to one onto g's neighbours of
+        # its image, and down is onto g
+        if len(set(down)) != g.n:
+            return False
+        want = [sorted(nbrs) for nbrs in g.adj]
+        image = down.__getitem__
+        return all(
+            sorted(map(image, col)) == want[down[v]]
+            for v, col in enumerate(zip(*mates))
+        )
+
     mates1 = partners(m1, n1)
     mates2 = partners(m2, n2)
+    for mates, down, g in ((mates1, down1, h), (mates2, down2, h_prime)):
+        if not projects_onto(mates, down, g):
+            raise ClusterTreeError("constructed projection is not a covering map")
+    # perfect matchings make the lift symmetric, and the check makes v's
+    # mates distinct, so the lift is simple; taken in ascending
+    # mate_i(v), the rows have strictly rising bases mate_i(v) * n2 and
+    # offsets below n2, so each zipped tuple comes out sorted
     adj: list[tuple[int, ...]] = []
-    for v in range(n1):
+    for col in zip(*mates1):
         rows = [
-            [mate1[v] * n2 + w2 for w2 in mate2]
-            for mate1, mate2 in zip(mates1, mates2)
+            map(add, mate2, repeat(u * n2)) for u, mate2 in sorted(zip(col, mates2))
         ]
-        adj.extend(tuple(sorted(nbrs)) for nbrs in zip(*rows))
+        adj.extend(zip(*rows))
     lifted = Graph(n1 * n2, adj)
 
-    nodes = range(lifted.n)
-    cm1 = CoveringMap(lifted, h, tuple([down1[x // n2] for x in nodes]))
-    cm2 = CoveringMap(lifted, h_prime, tuple([down2[x % n2] for x in nodes]))
-    for cm in (cm1, cm2):
-        if not verify_covering_map(cm):
-            raise ClusterTreeError("constructed projection is not a covering map")
+    cm1 = CoveringMap(
+        lifted, h, tuple(chain.from_iterable(repeat(t, n2) for t in down1))
+    )
+    cm2 = CoveringMap(lifted, h_prime, tuple(down2) * n1)
     # one sweep with the larger finite base girth checks both bases
     base_girths = [x for x in (girth(h), girth(h_prime)) if isinstance(x, int)]
     if base_girths and not girth_at_least(lifted, max(base_girths)):

@@ -20,6 +20,9 @@ GOLDEN = {
     "simulate-skip-local-max-vc": "6ba9b3433757236a0345cd0e224bc7490765905a1c825d7da24b6757db2fbb08",
     "simulate-tape-greedy-mm-mm": "29055b80958972ade82f9f34b5cd1714568bda8268f10b6656eb4492e1a40421",
     "simulate-greedy-view-vc-vc": "6c33042c41ae0ec2a3c67fd2d712d1b39c42dbadd1b7057c404038419060acca",
+    "common-lift": "b3df67eb1d39f7c8438cf7b388273f6bc1ac107819dff42f0489559b1a3de7b6",
+    "common-lift-map1": "1720f5791ce5dadb6a783a1f12a12c874c10b16b6595b7d513d7196be1f5b293",
+    "common-lift-map2": "8ad9121ac8a90db5e903392124c34c67eebba7b3a1aceb7cf743a761dbe0a066",
 }
 
 
@@ -174,8 +177,13 @@ def test_lift_ops(tmp_path):
             "lift", "--op", "common-lift",
             "--graph", str(hg), "--graph2", str(dc),
             "--out", str(lifted), "--map-out", str(tmp_path / "p1.json"),
+            "--map2-out", str(tmp_path / "p2.json"),
         ]
     ) == 0
+    # hg is not bipartite and dc is, so both bipartite stages are pinned
+    assert sha256_of(lifted) == GOLDEN["common-lift"]
+    assert sha256_of(tmp_path / "p1.json") == GOLDEN["common-lift-map1"]
+    assert sha256_of(tmp_path / "p2.json") == GOLDEN["common-lift-map2"]
 
 
 def test_pipeline_then_verify_iso_end_to_end(tmp_path):

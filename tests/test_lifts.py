@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
+from clustertree import lifts
 from clustertree.errors import (
     BoundViolatedError,
+    ClusterTreeError,
     DegreeMismatchError,
     EmptyGraphError,
     NotBipartiteError,
@@ -215,6 +217,46 @@ def test_common_lift_k4_k33():
 def test_common_lift_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         common_lift(K4, C5)
+
+
+def swap_in_non_edges(g: Graph, ms):
+    # the first matching trades its first two edges (a, b) and (c, e) for
+    # two pairs of same-side nodes, which are non-edges of a bipartite g
+    (a, b), (c, e), *rest = ms[0]
+    colors = g.two_coloring()
+    pairs = [(a, c), (b, e)] if colors[a] == colors[c] else [(a, e), (b, c)]
+    return [pairs + rest, *ms[1:]]
+
+
+def share_an_edge(g: Graph, ms):
+    # the second matching takes the first one's edge (a, b) in place of
+    # its own edges (a, x) and (b, y), and pairs x with y
+    a, b = ms[0][0]
+    mate = {u: w for e in ms[1] for u, w in (e, e[::-1])}
+    kept = [e for e in ms[1] if a not in e and b not in e]
+    return [ms[0], kept + [(a, b), (mate[a], mate[b])], *ms[2:]]
+
+
+@pytest.mark.parametrize("corrupt", [swap_in_non_edges, share_an_edge])
+@pytest.mark.parametrize("h, h_prime", [(C4, C4), (K4, K33)])
+def test_common_lift_rejects_corrupted_matchings(monkeypatch, corrupt, h, h_prime):
+    # h_prime is bipartite, so common_lift decomposes h_prime itself; the
+    # corrupted matchings are still perfect but no longer partition its
+    # edges, and the lift must not pass as a cover of h_prime
+    real = lifts.matching_decomposition
+
+    def corrupted(g):
+        ms = real(g)
+        if g is not h_prime:
+            return ms
+        ms = corrupt(g, ms)
+        assert all(len({x for e in m for x in e}) == g.n for m in ms)
+        assert sorted(e for m in ms for e in m) != g.edges()
+        return ms
+
+    monkeypatch.setattr(lifts, "matching_decomposition", corrupted)
+    with pytest.raises(ClusterTreeError, match="not a covering map"):
+        common_lift(h, h_prime)
 
 
 def test_common_lift_girth_inheritance():

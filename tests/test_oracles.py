@@ -1,5 +1,6 @@
 """networkx as an independent oracle for the girth sweep, the
-covering-map check and the exact small-instance solvers."""
+covering-map check, the common lift, bipartite matching and the exact
+small-instance solvers."""
 
 from __future__ import annotations
 
@@ -10,7 +11,14 @@ import pytest
 from conftest import make_random_graph
 
 from clustertree.graph import Graph, girth, girth_at_least, line_graph
-from clustertree.lifts import CoveringMap, verify_covering_map
+from clustertree.lifts import (
+    CoveringMap,
+    canonical_double_cover,
+    common_lift,
+    matching_decomposition,
+    verify_covering_map,
+)
+from clustertree.matching import hopcroft_karp
 from clustertree.localsim import DS, MAXM, VC, exact_small, validate_solution
 
 nx = pytest.importorskip("networkx")
@@ -90,14 +98,89 @@ def maps(draw):
     return CoveringMap(source=source, target=target, map=tuple(phi))
 
 
+def nx_covers(cm: CoveringMap) -> bool:
+    """The covering-map condition read straight off networkx graphs."""
+    src, tgt, phi = to_nx(cm.source), to_nx(cm.target), cm.map
+    return set(phi) == set(tgt) and all(
+        sorted(phi[w] for w in src[v]) == sorted(tgt[phi[v]]) for v in src
+    )
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(cm=maps())
 def test_covering_map_verdict_matches_networkx(cm):
-    src, tgt, phi = to_nx(cm.source), to_nx(cm.target), cm.map
-    want = set(phi) == set(tgt) and all(
-        sorted(phi[w] for w in src[v]) == sorted(tgt[phi[v]]) for v in src
+    assert verify_covering_map(cm) == nx_covers(cm)
+
+
+def from_nx(h) -> Graph:
+    return Graph.from_edges(h.number_of_nodes(), sorted(h.edges()))
+
+
+def bipartite_circulant(m: int, d: int) -> Graph:
+    """Left node i joins right node m + (i + j) % m for j < d: an even
+    cycle for d = 2 and K_{d,d} for m = d."""
+    return Graph.from_edges(
+        2 * m, [(i, m + (i + j) % m) for i in range(m) for j in range(d)]
     )
-    assert verify_covering_map(cm) == want
+
+
+@st.composite
+def regular_graphs(draw, d: int):
+    """A d-regular graph: random from networkx, or a bipartite circulant."""
+    if draw(st.booleans()):
+        return bipartite_circulant(draw(st.integers(d, 5)), d)
+    n = draw(st.integers(d + 1, 8).filter(lambda n: n * d % 2 == 0))
+    return from_nx(nx.random_regular_graph(d, n, seed=draw(st.integers(0, 999))))
+
+
+@st.composite
+def lift_inputs(draw):
+    d = draw(st.integers(2, 4))
+    return draw(regular_graphs(d)), draw(regular_graphs(d))
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(pair=lift_inputs())
+def test_common_lift_projections_match_networkx(pair):
+    h, h_prime = pair
+    lifted, cm1, cm2 = common_lift(h, h_prime)
+    for cm in (cm1, cm2):
+        assert verify_covering_map(cm)
+        assert nx_covers(cm)
+    # the lift's rows come out sorted without a sort of their own
+    assert lifted.adj == Graph.from_edges(lifted.n, lifted.edges()).adj
+
+
+def regular_bipartite_graphs():
+    """Double covers of seeded random regular graphs and bipartite
+    circulants, with their degrees."""
+    for d, n, seed in ((2, 7, 1), (3, 8, 2), (3, 12, 3), (4, 9, 4), (5, 12, 5)):
+        cover, _ = canonical_double_cover(from_nx(nx.random_regular_graph(d, n, seed)))
+        yield cover, d
+    for m, d in ((2, 2), (5, 2), (4, 4), (7, 3)):
+        yield bipartite_circulant(m, d), d
+
+
+def test_hopcroft_karp_size_matches_networkx():
+    graphs = [g for g, _ in regular_bipartite_graphs()]
+    # sparse random bipartite graphs, whose maximum matchings leave nodes
+    # unmatched
+    graphs += [
+        from_nx(nx.bipartite.random_graph(8, 11, 0.2, seed)) for seed in range(8)
+    ]
+    for g in graphs:
+        top = [v for v, c in enumerate(g.two_coloring()) if c == 0]
+        mate = hopcroft_karp(g, top)
+        assert all(mate[mate[u]] == u and mate[u] in g.adj[u] for u in mate)
+        assert len(mate) == len(nx.bipartite.hopcroft_karp_matching(to_nx(g), top))
+
+
+def test_matching_decomposition_partitions_edges():
+    for g, d in regular_bipartite_graphs():
+        ms = matching_decomposition(g)
+        assert len(ms) == d
+        assert all(sorted(x for e in m for x in e) == list(range(g.n)) for m in ms)
+        assert sorted(e for m in ms for e in m) == g.edges()
 
 
 def test_exact_small_matches_networkx(small_corpus):
