@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import add
+from itertools import chain, islice, repeat
+from operator import add, or_
 
 from .builder import build_low_girth
 from .errors import (
@@ -337,6 +337,15 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     deficiency by two, so the process terminates; the exchange argument
     guarantees a usable edge always exists, and a defensive cap turns
     any violation into an error instead of a hang.
+
+    Distances are kept, not recomputed: ``balls[u][r]`` is the bitmask
+    of the nodes within r hops of u, for r up to u's eccentricity, built
+    once by bitmask BFS. The farthest candidate of u is read off the
+    first ball, from the top, that misses a candidate. Adding an edge
+    only shortens distances, so a link patches just the balls of the
+    nodes that are at least two hops nearer to one end than to the
+    other. Removing an edge can lengthen distances, so after a swap
+    every ball is rebuilt by BFS.
     """
     if delta < 2:
         raise ValueError("degree must be at least 2")
@@ -368,36 +377,80 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
             frontier ^= low
         return reach
 
+    def bfs_balls(u: int) -> list[int]:
+        """balls[u] by BFS: entry r is the bitmask of the nodes within r
+        hops of u, up to u's eccentricity, so the last entry is u's
+        component."""
+        seen = frontier = 1 << u
+        out = [seen]
+        while True:
+            frontier = spread(frontier) & ~seen
+            if not frontier:
+                return out
+            seen |= frontier
+            out.append(seen)
+
+    balls = [bfs_balls(u) for u in range(n)]
+
+    def link_far(a: int, b: int) -> None:
+        """Join a and b and patch the balls of every node whose distances
+        shrink. A shortest path uses the new edge at most once, so node u
+        with d(u, a) = r and d(u, b) >= r + 2 gains exactly the nodes
+        within t - 1 - r of b in its ball of radius t, for each t > r;
+        every other node keeps its balls. Both passes read a's and b's
+        old lists, which the patch replaces but never mutates."""
+        old_a, old_b = balls[a], balls[b]
+        link(a, b)
+        for near_list, far_list in ((old_a, old_b), (old_b, old_a)):
+            top = len(far_list) - 1
+            inner = 0
+            for r, within in enumerate(near_list):
+                # at distance r from one end, at least r + 2 from the other
+                movers = within & ~inner & ~far_list[min(r + 1, top)]
+                inner = within
+                while movers:
+                    low = movers & -movers
+                    movers ^= low
+                    u = low.bit_length() - 1
+                    old = balls[u]
+                    # entry t > r: old[t] | far_list[t - 1 - r], each list
+                    # held at its last entry (the component) once it ends
+                    grown = map(
+                        or_,
+                        chain(old[r + 1 :], repeat(old[-1])),
+                        chain(far_list, repeat(far_list[-1])),
+                    )
+                    new = old[: r + 1]
+                    new += islice(grown, max(len(old) - 1 - r, top + 1))
+                    while new[-1] == new[-2]:
+                        new.pop()
+                    balls[u] = new
+
     def ball(u: int, radius: int) -> int:
         """Bitmask of the nodes within ``radius`` hops of u."""
-        seen = frontier = 1 << u
-        for _ in range(radius):
-            frontier = spread(frontier) & ~seen
-            seen |= frontier
-        return seen
+        bu = balls[u]
+        return bu[min(radius, len(bu) - 1)]
 
     far = n + 1  # stands in for infinite distance between components
 
     def farthest(u: int, cands: int) -> tuple[int, int]:
         """Distance from u to its farthest candidate (bitmask ``cands``,
-        nonempty) and the smallest candidate at that distance.
+        nonempty, without u) and the smallest candidate at that distance.
 
-        Grows BFS layers as bitmasks and stops once every candidate has
-        been reached; candidates never reached are at distance ``far``.
+        Scans u's balls from the top: the first radius r whose inner ball
+        misses a candidate is the distance. Candidates outside u's
+        component are at distance ``far``.
         """
-        seen = frontier = 1 << u
-        dist = best = hit = 0
-        while cands and frontier:
-            frontier = spread(frontier) & ~seen
-            seen |= frontier
-            dist += 1
-            met = frontier & cands
-            if met:
-                best, hit = dist, met & -met
-                cands ^= met
-        if cands:
-            best, hit = far, cands & -cands
-        return best, hit.bit_length() - 1
+        bu = balls[u]
+        r = len(bu) - 1
+        out = cands & ~bu[r]
+        if out:
+            return far, (out & -out).bit_length() - 1
+        while True:
+            out = cands & ~bu[r - 1]
+            if out:
+                return r, (out & -out).bit_length() - 1
+            r -= 1
 
     for target in range(3, delta + 1):
         ops = 0
@@ -429,7 +482,7 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
                     best_dist = d
                     best_pair = (u, v)
             if best_pair is not None and best_dist >= girth_target - 1:
-                link(*best_pair)
+                link_far(*best_pair)
                 continue
             # stuck: swap an edge remote from the two smallest deficient nodes
             vp, wp = deficient[0], deficient[1]
@@ -444,11 +497,13 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
                     "no swappable edge outside the deficient balls; bug"
                 )
             y = x + (partners & -partners).bit_length()
-            # unlink x and y, then join them to vp and wp
+            # unlink x and y, then join them to vp and wp; removing an
+            # edge can lengthen distances, so rebuild every ball
             mask[x] ^= 1 << y
             mask[y] ^= 1 << x
             link(x, vp)
             link(y, wp)
+            balls = [bfs_balls(u) for u in range(n)]
 
     adj = []
     for bits in mask:

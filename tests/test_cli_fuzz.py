@@ -1,5 +1,6 @@
-"""Random graph documents fed to the CLI: every run ends in an exit
-code, never in an escaped exception."""
+"""Random graph documents: well-formed ones round-trip through the JSON
+writer and reader, and any fed to the CLI ends in an exit code, never
+in an escaped exception."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 import pytest
 
 from clustertree.cli import dispatch
+from clustertree.graph import Graph, read_graph_json, write_graph_json
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -60,3 +62,27 @@ def test_random_documents_end_in_an_exit_code(tmp_path_factory, doc):
          "--trials", "2"],
     ):
         assert dispatch(argv + ["--graph", str(path)]) in (0, 1, 2)
+
+
+@st.composite
+def graph_files(draw):
+    """A small simple graph with optional clusters and JSON meta."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    clusters = draw(st.none() | st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    metas = st.dictionaries(st.text(max_size=3), json_values, max_size=3)
+    meta = draw(st.none() | metas)
+    return Graph.from_edges(n, edges), clusters, meta
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(case=graph_files())
+def test_graph_json_round_trip(tmp_path_factory, case):
+    g, clusters, meta = case
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    write_graph_json(str(path), g, clusters, meta)
+    back = read_graph_json(str(path))
+    assert (back.graph.n, back.graph.adj) == (g.n, g.adj)
+    assert back.clusters == (None if clusters is None else tuple(clusters))
+    assert back.meta == meta

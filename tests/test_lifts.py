@@ -371,6 +371,24 @@ def test_high_girth_edges_match_recorded_digests(params, high_girth_graphs):
     assert digest == HIGH_GIRTH_DIGESTS[params]
 
 
+# sha256 over repr(adj) of the sweep below, in order; recorded on the
+# generator that ran one BFS per candidate, before the ball table
+HIGH_GIRTH_SWEEP_DIGEST = "ab0ada4f927dc5f1145604277a84fd96cf4dd0f3e3387033a083545fc2141fe5"
+
+
+def test_high_girth_sweep_matches_recorded_digest():
+    """Degrees 2-6, girth 3-5, at most 120 nodes, at the minimal m and
+    at m three above it (22 calls)."""
+    h = hashlib.sha256()
+    for delta in range(2, 7):
+        for target in range(3, 6):
+            min_m = 2 * sum((delta - 1) ** i for i in range(target - 1))
+            for m in (min_m, min_m + 3):
+                if 2 * m <= 120:
+                    h.update(repr(high_girth_regular(delta, target, m).adj).encode())
+    assert h.hexdigest() == HIGH_GIRTH_SWEEP_DIGEST
+
+
 def test_high_girth_bound_violation():
     with pytest.raises(BoundViolatedError):
         high_girth_regular(3, 5, 10)

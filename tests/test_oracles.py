@@ -1,20 +1,24 @@
 """networkx as an independent oracle for the girth sweep, the
-covering-map check, the common lift, bipartite matching and the exact
-small-instance solvers."""
+covering-map check, the common lift, bipartite matching, the high-girth
+generator, rooted-tree canonical forms and the exact small-instance
+solvers."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 from conftest import make_random_graph
 
 from clustertree.graph import Graph, girth, girth_at_least, line_graph
+from clustertree.iso import canonical_form_rooted
 from clustertree.lifts import (
     CoveringMap,
     canonical_double_cover,
     common_lift,
+    high_girth_regular,
     matching_decomposition,
     verify_covering_map,
 )
@@ -181,6 +185,108 @@ def test_matching_decomposition_partitions_edges():
         assert len(ms) == d
         assert all(sorted(x for e in m for x in e) == list(range(g.n)) for m in ms)
         assert sorted(e for m in ms for e in m) == g.edges()
+
+
+def replay_high_girth(delta: int, girth_target: int, m: int):
+    """The selection rule of ``high_girth_regular``, replayed on networkx
+    distances: from the cycle on 2m nodes, raise degrees one level at a
+    time; join the non-adjacent deficient pair at the largest distance
+    (the smallest pair on ties) if that distance is at least
+    girth_target - 1; otherwise take the smallest edge xy, x < y, with
+    both ends beyond girth_target - 2 of the two smallest deficient
+    nodes v' and w', and trade it for xv' and yw'. Returns the sorted
+    adjacency and the number of swaps."""
+    n = 2 * m
+    g = nx.cycle_graph(n)
+    swaps = 0
+    for target in range(3, delta + 1):
+        while True:
+            deficient = [v for v in range(n) if g.degree(v) < target]
+            if not deficient:
+                break
+            pairs = []
+            for i, u in enumerate(deficient):
+                dist = nx.single_source_shortest_path_length(g, u)
+                pairs += [
+                    (dist.get(v, math.inf), u, v)
+                    for v in deficient[i + 1 :]
+                    if not g.has_edge(u, v)
+                ]
+            if pairs:
+                d, u, v = max(pairs, key=lambda p: (p[0], -p[1], -p[2]))
+                if d >= girth_target - 1:
+                    g.add_edge(u, v)
+                    continue
+            vp, wp = deficient[:2]
+            near = set()
+            for s in (vp, wp):
+                near.update(
+                    nx.single_source_shortest_path_length(g, s, girth_target - 2)
+                )
+            x, y = min(tuple(sorted(e)) for e in g.edges() if not near & set(e))
+            g.remove_edge(x, y)
+            g.add_edges_from([(x, vp), (y, wp)])
+            swaps += 1
+    return [tuple(sorted(g[v])) for v in range(n)], swaps
+
+
+# (delta, girth, m) -> swaps the replay makes
+REPLAY_SWAPS = {
+    (3, 5, 30): 0,
+    (3, 5, 33): 0,
+    (4, 4, 26): 1,
+    (4, 4, 29): 0,
+    (3, 4, 17): 1,
+    (5, 3, 10): 1,
+    (6, 3, 15): 1,
+    (6, 3, 30): 1,
+}
+
+
+@pytest.mark.parametrize(
+    "params", sorted(REPLAY_SWAPS), ids=lambda p: "-".join(map(str, p))
+)
+def test_high_girth_matches_networkx_replay(params):
+    adj, swaps = replay_high_girth(*params)
+    assert swaps == REPLAY_SWAPS[params]
+    assert list(high_girth_regular(*params).adj) == adj
+
+
+@st.composite
+def rooted_trees(draw):
+    """A random tree (node i > 0 hangs below a smaller node) and a root."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    return Graph.from_edges(n, edges), draw(st.integers(0, n - 1))
+
+
+def test_canonical_form_equality_matches_networkx():
+    rng = random.Random(11)
+    agree = [0, 0]
+    for _ in range(400):
+        n = rng.randrange(1, 8)
+        trees = []
+        for _ in range(2):
+            edges = [(rng.randrange(i), i) for i in range(1, n)]
+            trees.append((Graph.from_edges(n, edges), rng.randrange(n)))
+        (a, ra), (b, rb) = trees
+        iso = nx.isomorphism.rooted_tree_isomorphism(to_nx(a), ra, to_nx(b), rb)
+        same = canonical_form_rooted(a, ra) == canonical_form_rooted(b, rb)
+        assert same == bool(iso)
+        agree[same] += 1
+    # both verdicts occur often
+    assert min(agree) >= 50
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(tree=rooted_trees(), data=st.data())
+def test_canonical_form_ignores_relabelling(tree, data):
+    g, root = tree
+    perm = data.draw(st.permutations(range(g.n)))
+    relabelled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert canonical_form_rooted(relabelled, perm[root]) == canonical_form_rooted(
+        g, root
+    )
 
 
 def test_exact_small_matches_networkx(small_corpus):
