@@ -333,10 +333,8 @@ def graph_to_json_dict(
     clusters: Iterable[int] | None = None,
     meta: dict | None = None,
 ) -> dict:
-    doc: dict = {
-        "n": g.n,
-        "edges": [[u, v] for u, nbrs in enumerate(g.adj) for v in nbrs if u < v],
-    }
+    # json writes the (u, v) tuples as [u, v] arrays
+    doc: dict = {"n": g.n, "edges": g.edges()}
     if clusters is not None:
         clusters = list(clusters)
         if len(clusters) != g.n:

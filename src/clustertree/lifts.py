@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import add, or_
+from operator import itemgetter, or_
 
 from .builder import build_low_girth
 from .errors import (
@@ -149,6 +149,11 @@ def common_lift(
     down is onto h. The same goes for the second projection over
     h_prime. The witness also fails when the matchings do not partition
     a base's edges, say when two of them share an edge.
+
+    Lift node (v, w) is the integer v * n2 + w, n2 being the second
+    bipartite base's node count. Rows point at one shared int per lift
+    node, taken from a tuple of ids per first-base node, so a row entry
+    costs a pointer, not an int of its own.
     """
     d1 = _require_regular(h)
     d2 = _require_regular(h_prime)
@@ -198,14 +203,14 @@ def common_lift(
             raise ClusterTreeError("constructed projection is not a covering map")
     # perfect matchings make the lift symmetric, and the check makes v's
     # mates distinct, so the lift is simple; taken in ascending
-    # mate_i(v), the rows have strictly rising bases mate_i(v) * n2 and
-    # offsets below n2, so each zipped tuple comes out sorted
-    adj: list[tuple[int, ...]] = []
-    for col in zip(*mates1):
-        rows = [
-            map(add, mate2, repeat(u * n2)) for u, mate2 in sorted(zip(col, mates2))
-        ]
-        adj.extend(zip(*rows))
+    # mate_i(v), the columns come from strictly rising blocks, so each
+    # zipped row comes out sorted. With d = 0 every row stays empty.
+    blocks = [tuple(range(u * n2, u * n2 + n2)) for u in range(n1)]
+    takes = [itemgetter(*mate2) for mate2 in mates2]
+    adj: list[tuple[int, ...]] = [()] * (n1 * n2)
+    for v, col in enumerate(zip(*mates1)):
+        rows = [take(blocks[u]) for u, take in sorted(zip(col, takes))]
+        adj[v * n2 : v * n2 + n2] = zip(*rows)
     lifted = Graph(n1 * n2, adj)
 
     cm1 = CoveringMap(

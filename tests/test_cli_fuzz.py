@@ -86,3 +86,26 @@ def test_graph_json_round_trip(tmp_path_factory, case):
     assert (back.graph.n, back.graph.adj) == (g.n, g.adj)
     assert back.clusters == (None if clusters is None else tuple(clusters))
     assert back.meta == meta
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(case=graph_files())
+@hypothesis.example(case=(Graph(0, []), None, None))
+@hypothesis.example(case=(Graph(0, []), [], {"k": 1}))
+@hypothesis.example(case=(Graph.from_edges(4, [(1, 2)]), [0, 1, 1, 2], None))
+@hypothesis.example(case=(Graph.from_edges(3, [(0, 2)]), None, {"stage": "x"}))
+def test_graph_json_bytes_match_edge_list_document(tmp_path_factory, case):
+    # the reference document lists the edges as [u, v] lists, u < v, in
+    # ascending u and then v
+    g, clusters, meta = case
+    path = tmp_path_factory.getbasetemp() / "bytes.json"
+    write_graph_json(str(path), g, clusters, meta)
+    doc = {
+        "n": g.n,
+        "edges": [[u, v] for u, nbrs in enumerate(g.adj) for v in nbrs if u < v],
+    }
+    if clusters is not None:
+        doc["clusters"] = list(clusters)
+    if meta is not None:
+        doc["meta"] = meta
+    assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from clustertree import lifts
+from clustertree.cli import dispatch
 from clustertree.errors import (
     BoundViolatedError,
     ClusterTreeError,
@@ -217,6 +218,30 @@ def test_common_lift_k4_k33():
 def test_common_lift_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         common_lift(K4, C5)
+
+
+def test_common_lift_of_edgeless_graphs(tmp_path):
+    lifted, cm1, cm2 = common_lift(Graph(2, [(), ()]), Graph(3, [(), (), ()]))
+    assert (lifted.n, lifted.adj) == (6, [()] * 6)
+    assert verify_covering_map(cm1)
+    assert verify_covering_map(cm2)
+    g1, g2, out = tmp_path / "g1.json", tmp_path / "g2.json", tmp_path / "l.json"
+    write_graph_json(str(g1), Graph(2, [(), ()]))
+    write_graph_json(str(g2), Graph(3, [(), (), ()]))
+    argv = ["lift", "--op", "common-lift", "--graph", str(g1), "--graph2", str(g2)]
+    assert dispatch(argv + ["--out", str(out)]) == 0
+    assert out.read_text() == '{"n": 6, "edges": [], "meta": {"stage": "common-lift"}}\n'
+
+
+def test_common_lift_rows_share_one_int_per_node(g14, high_girth_graphs):
+    # the (1,4) pipeline's lift; its ids pass 256, beyond CPython's
+    # small-int cache, so equal entries share an object only by design
+    lifted, _, _ = common_lift(
+        regular_supergraph(g14.graph), high_girth_graphs[(16, 3, 32)]
+    )
+    assert lifted.n > 256
+    entries = [x for row in lifted.adj for x in row]
+    assert len(set(map(id, entries))) == len(set(entries)) == lifted.n
 
 
 def swap_in_non_edges(g: Graph, ms):

@@ -68,11 +68,10 @@ def test_girth_matches_networkx(high_girth_graphs):
 
 
 @st.composite
-def maps(draw):
-    """A target graph on at most 5 nodes, often disconnected, and a map
-    onto it: a random permutation lift of each target component (folds
-    differ between components), sometimes with map entries or source
-    edges changed afterwards."""
+def permutation_lifts(draw):
+    """A target graph on at most 5 nodes, often disconnected, and a
+    random permutation lift of each target component (folds differ
+    between components) with its projection."""
     nt = draw(st.integers(1, 5))
     pairs = [(a, b) for a in range(nt) for b in range(a + 1, nt)]
     tedges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -89,7 +88,17 @@ def maps(draw):
     for a, b in tedges:
         perm = draw(st.permutations(range(fold[a])))
         sedges.update((start[a] + i, start[b] + p) for i, p in enumerate(perm))
-    ns = len(phi)
+    source = Graph.from_edges(len(phi), sorted(sedges))
+    return CoveringMap(source=source, target=target, map=tuple(phi))
+
+
+@st.composite
+def maps(draw):
+    """A random permutation lift, sometimes with map entries or source
+    edges changed afterwards."""
+    cm = draw(permutation_lifts())
+    target, phi, sedges = cm.target, list(cm.map), set(cm.source.edges())
+    nt, ns = target.n, len(phi)
     moves = st.tuples(st.integers(0, ns - 1), st.integers(0, nt - 1))
     for v, t in draw(st.lists(moves, max_size=2)):
         phi[v] = t
@@ -114,6 +123,13 @@ def nx_covers(cm: CoveringMap) -> bool:
 @hypothesis.given(cm=maps())
 def test_covering_map_verdict_matches_networkx(cm):
     assert verify_covering_map(cm) == nx_covers(cm)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(cm=permutation_lifts())
+def test_permutation_lifts_cover_and_keep_girth(cm):
+    assert verify_covering_map(cm)
+    assert nx.girth(to_nx(cm.source)) >= nx.girth(to_nx(cm.target))
 
 
 def from_nx(h) -> Graph:
