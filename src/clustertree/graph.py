@@ -385,10 +385,25 @@ def write_graph_json(
     clusters: Iterable[int] | None = None,
     meta: dict | None = None,
 ) -> None:
+    """Write ``json.dumps(graph_to_json_dict(g, clusters, meta))`` and a
+    newline, encoding the edges of 4,096 nodes at a time."""
+    # the document of an edgeless graph of the same order; its "edges"
+    # follows "n", before clusters and meta, so the first match is its own
+    edgeless = Graph(g.n, [()] * g.n)
+    text = json.dumps(graph_to_json_dict(edgeless, clusters, meta))
+    head, tail = text.split('"edges": []', 1)
     with open(path, "w", encoding="utf-8") as fh:
-        # dumps runs the C encoder; dump would run the pure-Python one
-        fh.write(json.dumps(graph_to_json_dict(g, clusters, meta)))
-        fh.write("\n")
+        fh.write(head + '"edges": [')
+        sep = ""
+        for lo in range(0, g.n, 4096):
+            nodes = range(lo, min(lo + 4096, g.n))
+            block = [(u, v) for u in nodes for v in g.adj[u] if u < v]
+            if block:
+                # dumps runs the C encoder; dump and iterencode would
+                # run the pure-Python one
+                fh.write(sep + json.dumps(block)[1:-1])
+                sep = ", "
+        fh.write("]" + tail + "\n")
 
 
 def read_graph_json(path: str) -> GraphFile:

@@ -4,9 +4,10 @@ cyclic voltage lifts.
 
 The end product is ``build_high_girth_ct``: embed the low-girth CT graph
 in a regular supergraph, generate a regular graph of the required girth,
-take a common lift of the two, and restrict the covering map back to the
-CT part. Covering maps never decrease girth, so the restriction is again
-a CT graph but with girth at least 2k+1.
+and build the part of their common lift that lies over the CT graph
+(``common_lift`` with ``over``), never the whole lift. That part covers
+the CT graph and sits inside a cover of the high-girth graph, so it is
+again a CT graph but with girth at least 2k+1.
 
 ``VoltageLift`` reaches girth 6 without that pipeline's size: it lifts
 the low-girth CT graph itself with voltages in Z_p and is never
@@ -130,8 +131,8 @@ def canonical_double_cover(g: Graph) -> tuple[Graph, CoveringMap]:
 
 
 def common_lift(
-    h: Graph, h_prime: Graph
-) -> tuple[Graph, CoveringMap, CoveringMap]:
+    h: Graph, h_prime: Graph, *, over: Graph | None = None
+) -> tuple[Graph, CoveringMap, CoveringMap | None]:
     """Common lift of two regular graphs of the same degree.
 
     Non-bipartite inputs are replaced by their canonical double covers.
@@ -154,6 +155,15 @@ def common_lift(
     bipartite base's node count. Rows point at one shared int per lift
     node, taken from a tuple of ids per first-base node, so a row entry
     costs a pointer, not an int of its own.
+
+    With ``over``, a subgraph of h on h's first ``over.n`` nodes, only
+    the preimage of ``over`` is built, with its map onto ``over`` and no
+    second map. Row (v, w) is kept iff down(v) is a node of ``over``,
+    and its column i iff down(mate_i(v)) is an ``over`` neighbour of
+    down(v); both depend on v alone. Kept node (v, w) is rank(v) * n2 + w,
+    ranking the kept v in ascending order. That is the position of
+    v * n2 + w among the kept nodes of the whole lift, so the rows are
+    the lift's rows restricted to ``over`` and renumbered in order.
     """
     d1 = _require_regular(h)
     d2 = _require_regular(h_prime)
@@ -204,18 +214,25 @@ def common_lift(
     # perfect matchings make the lift symmetric, and the check makes v's
     # mates distinct, so the lift is simple; taken in ascending
     # mate_i(v), the columns come from strictly rising blocks, so each
-    # zipped row comes out sorted. With d = 0 every row stays empty.
-    blocks = [tuple(range(u * n2, u * n2 + n2)) for u in range(n1)]
+    # zipped row comes out sorted. A node with no column keeps empty rows.
+    target = h if over is None else over
+    kept = [v for v in range(n1) if down1[v] < target.n]
+    blocks = {v: tuple(range(r * n2, r * n2 + n2)) for r, v in enumerate(kept)}
     takes = [itemgetter(*mate2) for mate2 in mates2]
-    adj: list[tuple[int, ...]] = [()] * (n1 * n2)
-    for v, col in enumerate(zip(*mates1)):
-        rows = [take(blocks[u]) for u, take in sorted(zip(col, takes))]
-        adj[v * n2 : v * n2 + n2] = zip(*rows)
-    lifted = Graph(n1 * n2, adj)
+    adj: list[tuple[int, ...]] = [()] * (len(kept) * n2)
+    for r, v in enumerate(kept):
+        nbrs = target.adj[down1[v]]
+        cols = sorted(zip((mate[v] for mate in mates1), takes))
+        rows = [take(blocks[u]) for u, take in cols if down1[u] in nbrs]
+        if rows:
+            adj[r * n2 : r * n2 + n2] = zip(*rows)
+    lifted = Graph(len(adj), adj)
 
     cm1 = CoveringMap(
-        lifted, h, tuple(chain.from_iterable(repeat(t, n2) for t in down1))
+        lifted, target, tuple(chain.from_iterable(repeat(down1[v], n2) for v in kept))
     )
+    if over is not None:
+        return lifted, cm1, None
     cm2 = CoveringMap(lifted, h_prime, tuple(down2) * n1)
     # one sweep with the larger finite base girth checks both bases
     base_girths = [x for x in (girth(h), girth(h_prime)) if isinstance(x, int)]
@@ -544,10 +561,10 @@ def build_high_girth_ct(
     onto the low-girth instance.
 
     Stages: low-girth CT graph, regular supergraph, high-girth regular
-    graph of the same degree, common lift, restriction of the first
-    projection to the CT preimage. Cluster identities pull back along
-    the covering map. Raises SizeCapExceededError (with the estimate)
-    when the lift would have more than ``size_cap`` nodes.
+    graph of the same degree, and the common lift's rows over the CT
+    graph only. Cluster identities pull back along the covering map.
+    Raises SizeCapExceededError (with the estimate) when the lift would
+    have more than ``size_cap`` nodes.
     """
     estimate = estimate_pipeline_size(k, beta)
     if estimate > size_cap:
@@ -559,26 +576,7 @@ def build_high_girth_ct(
     super_graph = regular_supergraph(base)
     target = 2 * k + 1
     high = high_girth_regular(delta, target, _high_girth_min_m(delta, target))
-    lifted, psi1, _psi2 = common_lift(super_graph, high)
-
-    proj = psi1.map
-    keep = [v for v in range(lifted.n) if proj[v] < base.n]
-    index = [-1] * lifted.n
-    for new, old in enumerate(keep):
-        index[old] = new
-    # keep the lifted edges over base edges; index is increasing on keep,
-    # so the restricted lists stay sorted
-    base_nbrs = [set(nbrs) for nbrs in base.adj]
-    adj = []
-    for v in keep:
-        over = base_nbrs[proj[v]]
-        adj.append(tuple(index[w] for w in lifted.adj[v] if proj[w] in over))
-    restricted = Graph(len(keep), adj)
-    phi = CoveringMap(
-        source=restricted,
-        target=base,
-        map=tuple(proj[old] for old in keep),
-    )
+    restricted, phi, _ = common_lift(super_graph, high, over=base)
     if not verify_covering_map(phi):
         raise ClusterTreeError("restricted projection is not a covering map; bug")
     # girth at least 2k+1, and no lower than the base's: one sweep checks both
@@ -588,7 +586,7 @@ def build_high_girth_ct(
         bound = max(bound, base_girth)
     if not girth_at_least(restricted, bound):
         raise ClusterTreeError(f"pipeline output girth below {bound}; bug")
-    cluster_of = tuple(low.cluster_of[phi.map[v]] for v in range(restricted.n))
+    cluster_of = tuple(low.cluster_of[t] for t in phi.map)
     ct = CTGraph(graph=restricted, skeleton=low.skeleton, cluster_of=cluster_of)
     return ct, phi
 

@@ -280,9 +280,9 @@ def alg_tape_greedy_mm(view: View) -> tuple[int, ...]:
     With enough rounds to see the whole component this is a proper
     maximal-matching algorithm; each tape salt gives an independent run.
     """
-    edges = view.edge_ids()
+    tape = {x: view.tape(x) for x in view.node_ids()}
     keyed = sorted(
-        edges, key=lambda e: ((view.tape(e[0]) + view.tape(e[1])) & _MASK, e)
+        view.edge_ids(), key=lambda e: ((tape[e[0]] + tape[e[1]]) & _MASK, e)
     )
     used: set[int] = set()
     root = view.root_id

@@ -415,7 +415,9 @@ def skeleton_from_json_dict(doc) -> ClusterTreeSkeleton:
     k, beta = doc["k"], doc["beta"]
     require_cluster_room(k, len(doc["clusters"]))
     skel = build_skeleton(k, beta)
-    if skeleton_to_json_dict(skel) != doc:
+    # compared as JSON text, where 1.0 and true differ from 1
+    want = json.dumps(skeleton_to_json_dict(skel), sort_keys=True)
+    if json.dumps(doc, sort_keys=True) != want:
         raise ValueError(f"document is not the skeleton for k={k}, beta={beta}")
     return skel
 

@@ -10,6 +10,7 @@ import pytest
 
 from clustertree.cli import dispatch
 from clustertree.graph import Graph, read_graph_json, write_graph_json
+from clustertree.lifts import build_high_girth_ct
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -88,18 +89,9 @@ def test_graph_json_round_trip(tmp_path_factory, case):
     assert back.meta == meta
 
 
-@hypothesis.settings(max_examples=60, deadline=None)
-@hypothesis.given(case=graph_files())
-@hypothesis.example(case=(Graph(0, []), None, None))
-@hypothesis.example(case=(Graph(0, []), [], {"k": 1}))
-@hypothesis.example(case=(Graph.from_edges(4, [(1, 2)]), [0, 1, 1, 2], None))
-@hypothesis.example(case=(Graph.from_edges(3, [(0, 2)]), None, {"stage": "x"}))
-def test_graph_json_bytes_match_edge_list_document(tmp_path_factory, case):
-    # the reference document lists the edges as [u, v] lists, u < v, in
-    # ascending u and then v
-    g, clusters, meta = case
-    path = tmp_path_factory.getbasetemp() / "bytes.json"
-    write_graph_json(str(path), g, clusters, meta)
+def edge_list_document(g: Graph, clusters, meta) -> str:
+    """The reference bytes: the edges as [u, v] lists, u < v, in
+    ascending u and then v, in one json.dumps of the whole document."""
     doc = {
         "n": g.n,
         "edges": [[u, v] for u, nbrs in enumerate(g.adj) for v in nbrs if u < v],
@@ -108,4 +100,56 @@ def test_graph_json_bytes_match_edge_list_document(tmp_path_factory, case):
         doc["clusters"] = list(clusters)
     if meta is not None:
         doc["meta"] = meta
-    assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+    return json.dumps(doc) + "\n"
+
+
+# write_graph_json encodes the edges of this many nodes at a time
+BLOCK = 4096
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(case=graph_files())
+@hypothesis.example(case=(Graph(0, []), None, None))
+@hypothesis.example(case=(Graph(0, []), [], {"k": 1}))
+@hypothesis.example(case=(Graph.from_edges(4, [(1, 2)]), [0, 1, 1, 2], None))
+@hypothesis.example(case=(Graph.from_edges(3, [(0, 2)]), None, {"stage": "x"}))
+# several blocks: the first and the third without edges, one edge
+# spanning blocks, and a short last block without edges
+@hypothesis.example(case=(
+    Graph.from_edges(
+        4 * BLOCK + 7,
+        [(BLOCK, BLOCK + 1), (BLOCK + 4, 2 * BLOCK + 808), (3 * BLOCK, 4 * BLOCK + 6)],
+    ),
+    None,
+    None,
+))
+# edges in the last block only
+@hypothesis.example(case=(
+    Graph.from_edges(
+        3 * BLOCK + 10, [(3 * BLOCK, 3 * BLOCK + 9), (3 * BLOCK + 2, 3 * BLOCK + 3)]
+    ),
+    None,
+    None,
+))
+# clusters, and meta that holds the text the writer splits at
+@hypothesis.example(case=(
+    Graph.from_edges(2 * BLOCK + 1, [(0, 2 * BLOCK), (BLOCK - 1, BLOCK), (5000, 8000)]),
+    [v % 3 for v in range(2 * BLOCK + 1)],
+    {"note": '"edges": []', "edges": []},
+))
+def test_graph_json_bytes_match_edge_list_document(tmp_path_factory, case):
+    g, clusters, meta = case
+    path = tmp_path_factory.getbasetemp() / "bytes.json"
+    write_graph_json(str(path), g, clusters, meta)
+    assert path.read_text(encoding="utf-8") == edge_list_document(g, clusters, meta)
+
+
+def test_pipeline_json_bytes_match_edge_list_document(tmp_path):
+    # the (1,4) pipeline output: 25,600 nodes, seven blocks, all with edges
+    ct, _ = build_high_girth_ct(1, 4)
+    meta = {"k": 1, "beta": 4, "stage": "high-girth"}
+    path = tmp_path / "l14.json"
+    write_graph_json(str(path), ct.graph, ct.cluster_of, meta)
+    assert ct.graph.n > 6 * BLOCK
+    text = path.read_text(encoding="utf-8")
+    assert text == edge_list_document(ct.graph, ct.cluster_of, meta)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 
 import pytest
@@ -39,6 +40,8 @@ from clustertree.lifts import (
 )
 from clustertree.matching import hopcroft_karp
 from clustertree.skeleton import CTGraph, validate_ct_graph
+
+from conftest import make_random_graph
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -242,6 +245,72 @@ def test_common_lift_rows_share_one_int_per_node(g14, high_girth_graphs):
     assert lifted.n > 256
     entries = [x for row in lifted.adj for x in row]
     assert len(set(map(id, entries))) == len(set(entries)) == lifted.n
+
+
+def restricted_full_lift(h: Graph, h_prime: Graph, over: Graph):
+    """Oracle: the full lift, then the restriction the pipeline ran before
+    common_lift took ``over``. Rows over nodes of ``over`` are kept, with
+    the neighbours over their ``over`` neighbours, renumbered in ascending
+    order. Returns the rows and the map down to ``over``."""
+    lifted, psi1, _ = common_lift(h, h_prime)
+    proj = psi1.map
+    keep = [v for v in range(lifted.n) if proj[v] < over.n]
+    index = [-1] * lifted.n
+    for new, old in enumerate(keep):
+        index[old] = new
+    base_nbrs = [set(nbrs) for nbrs in over.adj]
+    adj = []
+    for v in keep:
+        allowed = base_nbrs[proj[v]]
+        adj.append(tuple(index[w] for w in lifted.adj[v] if proj[w] in allowed))
+    return adj, tuple(proj[old] for old in keep)
+
+
+def random_restriction_cases():
+    """Seeded regular pairs with a proper subgraph ``over`` of the first:
+    the supergraph of a random graph over that graph or over a random
+    part of it, and a bipartite circulant over an edge subset of its
+    first nodes."""
+    rng = random.Random(7)
+    for _ in range(6):
+        n = rng.randrange(6, 16)
+        g = make_random_graph(rng, n, rng.uniform(1.5, 3.5) / n)
+        if g.edge_count() == 0:
+            continue
+        h = regular_supergraph(g)
+        d = g.max_degree()
+        m = rng.randrange(d, d + 4)
+        h_prime = Graph.from_edges(
+            2 * m, [(i, m + (i + j) % m) for i in range(m) for j in range(d)]
+        )
+        yield h, h_prime, g
+        part = rng.randrange(1, n + 1)
+        yield h, h_prime, Graph.from_edges(
+            part, [(u, v) for u, v in g.edges() if v < part and rng.random() < 0.7]
+        )
+        yield h_prime, h, Graph.from_edges(
+            m + 1, [(u, v) for u, v in h_prime.edges() if v <= m and rng.random() < 0.8]
+        )
+
+
+def test_common_lift_over_matches_restricted_full_lift(g14, high_girth_graphs):
+    cases = [
+        (regular_supergraph(g14.graph), high_girth_graphs[(16, 3, 32)], g14.graph),
+        *random_restriction_cases(),
+    ]
+    for h, h_prime, over in cases:
+        assert over.n < h.n or over.edge_count() < h.edge_count()
+        rows, phi, none = common_lift(h, h_prime, over=over)
+        adj, image = restricted_full_lift(h, h_prime, over)
+        assert (rows.n, rows.adj) == (len(adj), adj)
+        assert (phi.source, phi.target, phi.map) == (rows, over, image)
+        assert none is None
+        assert verify_covering_map(phi)
+    # two 0-regular graphs: rows over one node of the first are empty
+    rows, phi, _ = common_lift(
+        Graph(2, [(), ()]), Graph(3, [(), (), ()]), over=Graph(1, [()])
+    )
+    assert (rows.n, rows.adj, phi.map) == (3, [()] * 3, (0, 0, 0))
 
 
 def swap_in_non_edges(g: Graph, ms):

@@ -429,6 +429,39 @@ def test_mm_to_mvc_trivial_cases():
     assert len(cover) <= 2
 
 
+def reference_tape_greedy_mm(view):
+    """Oracle: alg_tape_greedy_mm before it drew each tape once per view;
+    its sort key calls view.tape twice per view edge."""
+    edges = view.edge_ids()
+    keyed = sorted(
+        edges,
+        key=lambda e: ((view.tape(e[0]) + view.tape(e[1])) & localsim._MASK, e),
+    )
+    used: set[int] = set()
+    root = view.root_id
+    for a, b in keyed:
+        if a not in used and b not in used:
+            used.add(a)
+            used.add(b)
+            if a == root:
+                return (b,)
+            if b == root:
+                return (a,)
+    return ()
+
+
+def test_tape_greedy_mm_matches_reference_on_corpus(small_corpus):
+    def both(view):
+        return alg_tape_greedy_mm(view), reference_tape_greedy_mm(view)
+
+    for i, g in enumerate(small_corpus):
+        lab = Labeling.generate(g.n, i)
+        # radius g.n sees each node's whole component
+        for k in (1, 2, g.n):
+            for new, old in run_local(g, k, both, lab, tape_salt=k):
+                assert new == old
+
+
 def test_mm_to_mvc_requires_large_constant():
     with pytest.raises(ValueError):
         mm_to_mvc(C4, alg_tape_greedy_mm, rounds=4, c=10)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from clustertree.cli import dispatch
 from clustertree.graph import Graph
 from clustertree.skeleton import (
     CTGraph,
@@ -10,10 +13,12 @@ from clustertree.skeleton import (
     build_skeleton,
     cluster_count,
     predicted_sizes,
+    read_skeleton_json,
     skeleton_from_json_dict,
     skeleton_to_dot,
     skeleton_to_json_dict,
     validate_ct_graph,
+    write_skeleton_json,
 )
 
 
@@ -163,6 +168,50 @@ def test_skeleton_json_round_trip():
         assert back.clusters == skel.clusters
         assert back.edges == skel.edges
         assert back.out_label == skel.out_label
+
+
+def single_field_edits(doc):
+    """Every document that differs from ``doc`` in one field: each
+    scalar, top-level or inside a cluster or edge object, replaced by a
+    value of another type or another value of its own type."""
+    objects = [doc, *doc["clusters"], *doc["edges"]]
+    for i, obj in enumerate(objects):
+        for key, value in obj.items():
+            if isinstance(value, list):
+                continue
+            if isinstance(value, str):
+                others = [LEAF if value == INTERNAL else INTERNAL, "", 0]
+            else:
+                others = [value + 1, -1, str(value), None, value == 1, float(value)]
+            for other in others:
+                edited = json.loads(json.dumps(doc))
+                [edited, *edited["clusters"], *edited["edges"]][i][key] = other
+                yield edited
+
+
+def test_skeleton_file_round_trip_and_single_field_edits(tmp_path, capsys):
+    path, bad = tmp_path / "skel.json", tmp_path / "bad.json"
+    for k, beta in ((1, 4), (1, 5), (2, 6)):
+        skel = build_skeleton(k, beta)
+        write_skeleton_json(str(path), skel)
+        assert read_skeleton_json(str(path)) == skel
+        for edited in single_field_edits(skeleton_to_json_dict(skel)):
+            bad.write_text(json.dumps(edited))
+            try:
+                back = read_skeleton_json(str(bad))
+            except ValueError as exc:
+                assert "\n" not in str(exc)
+                continue
+            # accepted only as the document of another skeleton: beta + 1
+            assert (edited["k"], edited["beta"]) == (k, beta + 1)
+            assert json.dumps(skeleton_to_json_dict(back)) == json.dumps(edited)
+    # the CLI reports a rejection on one line of stderr
+    bad.write_text(json.dumps(next(single_field_edits(skeleton_to_json_dict(skel)))))
+    capsys.readouterr()
+    argv = ["export-dot", "--skeleton", str(bad), "--out", str(tmp_path / "d")]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def _edited_skeleton_doc(edit):
