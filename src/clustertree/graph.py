@@ -401,7 +401,8 @@ def write_graph_json(
             if block:
                 # dumps runs the C encoder; dump and iterencode would
                 # run the pure-Python one
-                fh.write(sep + json.dumps(block)[1:-1])
+                fh.write(sep)
+                fh.write(json.dumps(block)[1:-1])
                 sep = ", "
         fh.write("]" + tail + "\n")
 
@@ -427,11 +428,10 @@ def graph_to_dot(
     g: Graph,
     clusters: Iterable[int] | None = None,
     cluster_levels: dict[int, int] | None = None,
-    name: str = "G",
 ) -> str:
     """Render as Graphviz DOT. With cluster info, nodes are grouped into
     same-rank clusters and colored by cluster level."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     if clusters is None:
         for v in range(g.n):
             lines.append(f"  {v};")

@@ -140,35 +140,37 @@ def common_lift(
     M'_i, and the lift lives on the node pairs: (v, w) and (v', w') are
     adjacent iff for some i, {v, v'} is in M_i and {w, w'} is in M'_i.
 
-    Both projections are checked on the bases rather than on the lift.
-    Lift node (v, w) has exactly one neighbour per index i, namely
-    (mate_i(v), mate'_i(w)), so the first projection maps its neighbours
-    to down(mate_i(v)), i = 1..d, whatever w is. The per-node condition
-    of :func:`verify_covering_map` is therefore one fact for all copies
-    of v: it holds on the whole lift iff, for every node v of the first
-    base, those d images are h's neighbours of down(v), one to one, and
-    down is onto h. The same goes for the second projection over
-    h_prime. The witness also fails when the matchings do not partition
-    a base's edges, say when two of them share an edge.
+    The first map goes onto ``target``, which is h, or ``over`` when
+    given: a subgraph of h on h's first ``over.n`` nodes, whose preimage
+    alone is built, with no second map. Row (v, w) is kept iff down(v)
+    is a node of ``target``, and its column i iff down(mate_i(v)) is a
+    ``target`` neighbour of down(v); both depend on v alone.
 
-    Lift node (v, w) is the integer v * n2 + w, n2 being the second
-    bipartite base's node count. Rows point at one shared int per lift
-    node, taken from a tuple of ids per first-base node, so a row entry
-    costs a pointer, not an int of its own.
+    Both maps are proved on the bases by :func:`verify_covering_map`
+    before any row is built. Lift node (v, w) has one neighbour per kept
+    column i, (mate_i(v), mate'_i(w)), which the first map sends to
+    down(mate_i(v)) whatever w is. So the rows cover ``target`` iff the
+    witness does, which joins each kept v to its mates at its kept
+    columns; the rows are built from exactly those columns. The second
+    witness joins each node of the second base to its d mates: it proves
+    the second map, and puts the rows inside a cover of h_prime. The
+    proof fails when the matchings do not partition a base's edges, say
+    when two share an edge, and when ``over`` is no subgraph of h. The
+    rows' girth is then at least both base girths; one sweep with the
+    larger finite one checks it.
 
-    With ``over``, a subgraph of h on h's first ``over.n`` nodes, only
-    the preimage of ``over`` is built, with its map onto ``over`` and no
-    second map. Row (v, w) is kept iff down(v) is a node of ``over``,
-    and its column i iff down(mate_i(v)) is an ``over`` neighbour of
-    down(v); both depend on v alone. Kept node (v, w) is rank(v) * n2 + w,
-    ranking the kept v in ascending order. That is the position of
-    v * n2 + w among the kept nodes of the whole lift, so the rows are
-    the lift's rows restricted to ``over`` and renumbered in order.
+    Kept node (v, w) is the integer rank(v) * n2 + w, ranking the kept v
+    in ascending order, n2 being the second bipartite base's node count:
+    its position among the kept nodes of the whole lift. Rows point at
+    one shared int per lift node, taken from a tuple of ids per kept v,
+    so a row entry costs a pointer, not an int of its own.
     """
     d1 = _require_regular(h)
     d2 = _require_regular(h_prime)
     if d1 != d2:
         raise DegreeMismatchError(f"degrees differ: {d1} vs {d2}")
+    if (h.n == 0) != (h_prime.n == 0):
+        raise ClusterTreeError("an empty graph has no common lift with a nonempty one")
 
     def bipartite_stage(g: Graph) -> tuple[Graph, Sequence[int]]:
         # the bipartite graph to decompose and its node map down to g
@@ -194,51 +196,51 @@ def common_lift(
             out.append(mate)
         return out
 
-    def projects_onto(mates: list[list[int]], down: Sequence[int], g: Graph) -> bool:
-        # every base node's d mates map one to one onto g's neighbours of
-        # its image, and down is onto g
-        if len(set(down)) != g.n:
-            return False
-        want = [sorted(nbrs) for nbrs in g.adj]
-        image = down.__getitem__
-        return all(
-            sorted(map(image, col)) == want[down[v]]
-            for v, col in enumerate(zip(*mates))
-        )
-
     mates1 = partners(m1, n1)
     mates2 = partners(m2, n2)
-    for mates, down, g in ((mates1, down1, h), (mates2, down2, h_prime)):
-        if not projects_onto(mates, down, g):
-            raise ClusterTreeError("constructed projection is not a covering map")
-    # perfect matchings make the lift symmetric, and the check makes v's
-    # mates distinct, so the lift is simple; taken in ascending
-    # mate_i(v), the columns come from strictly rising blocks, so each
-    # zipped row comes out sorted. A node with no column keeps empty rows.
     target = h if over is None else over
     kept = [v for v in range(n1) if down1[v] < target.n]
-    blocks = {v: tuple(range(r * n2, r * n2 + n2)) for r, v in enumerate(kept)}
+    rank = {v: r for r, v in enumerate(kept)}
+    # (rank of mate_i(v), i) for each kept column i of each kept v
+    columns = [
+        [
+            (rank[mate[v]], i)
+            for i, mate in enumerate(mates1)
+            if down1[mate[v]] in target.adj[down1[v]]
+        ]
+        for v in kept
+    ]
+    down = tuple(down1[v] for v in kept)
+    witness1 = Graph(len(kept), [tuple(r for r, _ in col) for col in columns])
+    witness2 = Graph(n2, [tuple(mate[w] for mate in mates2) for w in range(n2)])
+    proofs = (
+        CoveringMap(witness1, target, down),
+        CoveringMap(witness2, h_prime, tuple(down2)),
+    )
+    if not all(map(verify_covering_map, proofs)):
+        raise ClusterTreeError("constructed projection is not a covering map")
+    # perfect matchings make the rows symmetric, and the proof makes v's
+    # kept mates distinct, so the lift is simple; taken in ascending
+    # rank, the columns come from strictly rising blocks, so each zipped
+    # row comes out sorted. A node with no column keeps empty rows.
+    blocks = [tuple(range(r * n2, r * n2 + n2)) for r in range(len(kept))]
     takes = [itemgetter(*mate2) for mate2 in mates2]
     adj: list[tuple[int, ...]] = [()] * (len(kept) * n2)
-    for r, v in enumerate(kept):
-        nbrs = target.adj[down1[v]]
-        cols = sorted(zip((mate[v] for mate in mates1), takes))
-        rows = [take(blocks[u]) for u, take in cols if down1[u] in nbrs]
-        if rows:
+    for r, col in enumerate(columns):
+        if col:
+            rows = [takes[i](blocks[s]) for s, i in sorted(col)]
             adj[r * n2 : r * n2 + n2] = zip(*rows)
     lifted = Graph(len(adj), adj)
 
+    base_girths = [x for x in (girth(target), girth(h_prime)) if isinstance(x, int)]
+    if base_girths and not girth_at_least(lifted, max(base_girths)):
+        raise ClusterTreeError("lift decreased girth; bug")
     cm1 = CoveringMap(
-        lifted, target, tuple(chain.from_iterable(repeat(down1[v], n2) for v in kept))
+        lifted, target, tuple(chain.from_iterable(repeat(t, n2) for t in down))
     )
     if over is not None:
         return lifted, cm1, None
-    cm2 = CoveringMap(lifted, h_prime, tuple(down2) * n1)
-    # one sweep with the larger finite base girth checks both bases
-    base_girths = [x for x in (girth(h), girth(h_prime)) if isinstance(x, int)]
-    if base_girths and not girth_at_least(lifted, max(base_girths)):
-        raise ClusterTreeError("lift decreased girth; bug")
-    return lifted, cm1, cm2
+    return lifted, cm1, CoveringMap(lifted, h_prime, tuple(down2) * n1)
 
 
 def regular_supergraph(g: Graph) -> Graph:
@@ -562,9 +564,12 @@ def build_high_girth_ct(
 
     Stages: low-girth CT graph, regular supergraph, high-girth regular
     graph of the same degree, and the common lift's rows over the CT
-    graph only. Cluster identities pull back along the covering map.
-    Raises SizeCapExceededError (with the estimate) when the lift would
-    have more than ``size_cap`` nodes.
+    graph only. Each stage checks its own output: the generator its
+    girth of at least 2k+1, and ``common_lift`` its map onto the CT
+    graph and a girth no lower than the CT graph's or the generator's.
+    Cluster identities pull back along the covering map. Raises
+    SizeCapExceededError (with the estimate) when the lift would have
+    more than ``size_cap`` nodes.
     """
     estimate = estimate_pipeline_size(k, beta)
     if estimate > size_cap:
@@ -577,15 +582,6 @@ def build_high_girth_ct(
     target = 2 * k + 1
     high = high_girth_regular(delta, target, _high_girth_min_m(delta, target))
     restricted, phi, _ = common_lift(super_graph, high, over=base)
-    if not verify_covering_map(phi):
-        raise ClusterTreeError("restricted projection is not a covering map; bug")
-    # girth at least 2k+1, and no lower than the base's: one sweep checks both
-    bound = 2 * k + 1
-    base_girth = girth(base)
-    if isinstance(base_girth, int):
-        bound = max(bound, base_girth)
-    if not girth_at_least(restricted, bound):
-        raise ClusterTreeError(f"pipeline output girth below {bound}; bug")
     cluster_of = tuple(low.cluster_of[t] for t in phi.map)
     ct = CTGraph(graph=restricted, skeleton=low.skeleton, cluster_of=cluster_of)
     return ct, phi

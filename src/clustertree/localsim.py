@@ -642,13 +642,12 @@ def mm_to_mvc(
     """
     if c < 36:
         raise ValueError("the amplification constant must be at least 36")
-    fn = ALGORITHMS[mm_algorithm] if isinstance(mm_algorithm, str) else mm_algorithm
     delta = g.max_degree()
     runs = math.ceil(c * math.log(delta)) if delta >= 2 else 0
     labeling = Labeling.generate(g.n, seed)
     hits = [0] * g.n
     for i in range(runs):
-        outputs = run_local(g, rounds, fn, labeling, tape_salt=i + 1)
+        outputs = run_local(g, rounds, mm_algorithm, labeling, tape_salt=i + 1)
         edges = mutual_edges(g, labeling, outputs)
         incident = [0] * g.n
         for u, v in edges:

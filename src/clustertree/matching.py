@@ -117,12 +117,12 @@ def koenig_cover(g: Graph, left: list[int], mate: dict[int, int]) -> list[int]:
     return sorted(cover)
 
 
-def greedy_maximal_matching(g: Graph, order=None) -> list[tuple[int, int]]:
-    """Maximal matching by scanning edges in the given (default lexicographic) order."""
+def greedy_maximal_matching(g: Graph) -> list[tuple[int, int]]:
+    """Maximal matching by scanning edges in lexicographic order."""
     used = [False] * g.n
     out = []
-    for u, v in order if order is not None else g.edges():
+    for u, v in g.edges():
         if not used[u] and not used[v]:
             used[u] = used[v] = True
-            out.append((u, v) if u < v else (v, u))
+            out.append((u, v))
     return out

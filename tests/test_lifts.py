@@ -48,6 +48,7 @@ K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 K4 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 K33 = Graph.from_edges(6, [(a, b) for a in range(3) for b in range(3, 6)])
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 PETERSEN = Graph.from_edges(
     10,
     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -236,6 +237,16 @@ def test_common_lift_of_edgeless_graphs(tmp_path):
     assert out.read_text() == '{"n": 6, "edges": [], "meta": {"stage": "common-lift"}}\n'
 
 
+def test_common_lift_rejects_one_empty_graph():
+    # the lift of an empty graph is empty, and maps onto no node of the other
+    empty, pair = Graph(0, []), Graph(2, [(), ()])
+    for h, h_prime in ((pair, empty), (empty, pair)):
+        with pytest.raises(ClusterTreeError, match="no common lift"):
+            common_lift(h, h_prime)
+    lifted, cm1, cm2 = common_lift(empty, empty)
+    assert lifted.n == 0 and verify_covering_map(cm1) and verify_covering_map(cm2)
+
+
 def test_common_lift_rows_share_one_int_per_node(g14, high_girth_graphs):
     # the (1,4) pipeline's lift; its ids pass 256, beyond CPython's
     # small-int cache, so equal entries share an object only by design
@@ -351,6 +362,37 @@ def test_common_lift_rejects_corrupted_matchings(monkeypatch, corrupt, h, h_prim
     monkeypatch.setattr(lifts, "matching_decomposition", corrupted)
     with pytest.raises(ClusterTreeError, match="not a covering map"):
         common_lift(h, h_prime)
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        Graph.from_edges(4, [(0, 1), (0, 3)]),
+        Graph.from_edges(8, [(i, i + 1) for i in range(5)]),
+    ],
+    ids=["non-edge", "extra-nodes"],
+)
+def test_common_lift_rejects_an_over_that_is_no_subgraph(over):
+    # (0, 3) is no edge of C6, and C6 has no nodes 6 and 7 to cover
+    with pytest.raises(ClusterTreeError, match="not a covering map"):
+        common_lift(C6, C4, over=over)
+
+
+@pytest.mark.parametrize("corrupt", [swap_in_non_edges, share_an_edge])
+@pytest.mark.parametrize("h, h_prime", [(C6, C4), (K33, K4)])
+def test_common_lift_over_rejects_corrupted_first_base(monkeypatch, corrupt, h, h_prime):
+    # h is bipartite, so common_lift decomposes h itself; the rows over
+    # all of h must not pass as a cover of it
+    real = lifts.matching_decomposition
+
+    def corrupted(g):
+        ms = real(g)
+        return corrupt(g, ms) if g is h else ms
+
+    monkeypatch.setattr(lifts, "matching_decomposition", corrupted)
+    over = Graph.from_edges(h.n, h.edges())
+    with pytest.raises(ClusterTreeError, match="not a covering map"):
+        common_lift(h, h_prime, over=over)
 
 
 def test_common_lift_girth_inheritance():

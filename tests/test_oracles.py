@@ -1,7 +1,7 @@
 """networkx as an independent oracle for the girth sweep, the
 covering-map check, the common lift, bipartite matching, the high-girth
-generator, rooted-tree canonical forms and the exact small-instance
-solvers."""
+generator, rooted-tree canonical forms, the coupled walk at radius 2 and
+the exact small-instance solvers."""
 
 from __future__ import annotations
 
@@ -12,10 +12,11 @@ import random
 import pytest
 from conftest import make_random_graph
 
-from clustertree.graph import Graph, girth, girth_at_least, line_graph
-from clustertree.iso import canonical_form_rooted
+from clustertree.graph import Graph, girth, girth_at_least, k_hop_subgraph, line_graph
+from clustertree.iso import canonical_form_rooted, find_isomorphism, verify_isomorphism
 from clustertree.lifts import (
     CoveringMap,
+    VoltageLift,
     canonical_double_cover,
     common_lift,
     high_girth_regular,
@@ -303,6 +304,21 @@ def test_canonical_form_ignores_relabelling(tree, data):
     assert canonical_form_rooted(relabelled, perm[root]) == canonical_form_rooted(
         g, root
     )
+
+
+def test_radius2_walk_verdict_matches_networkx(g26):
+    # one seeded pair of the girth-6 voltage lift of the (2,6) graph, from
+    # the cluster-0 and cluster-1 fibres; its radius-2 views are trees
+    lift = VoltageLift(g26)
+    groups = g26.cluster_nodes()
+    rng = random.Random(6)
+    v0, v1 = (lift.node(rng.choice(groups[c]), rng.randrange(lift.p)) for c in (0, 1))
+    walk = verify_isomorphism(lift, 2, v0, v1, find_isomorphism(lift, 2, v0, v1))
+    a, b = (k_hop_subgraph(lift, v, 2).graph for v in (v0, v1))
+    assert a.n == b.n == 8078
+    iso = dict(nx.isomorphism.rooted_tree_isomorphism(to_nx(a), 0, to_nx(b), 0))
+    # networkx maps every node of one view onto the other, root to root
+    assert walk and len(iso) == a.n and iso[0] == 0
 
 
 def test_exact_small_matches_networkx(small_corpus):
