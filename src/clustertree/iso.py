@@ -79,28 +79,37 @@ def find_isomorphism(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
     """Run the coupled walk and return the view bijection v0 -> v1.
 
     ``ct`` is a ``CTGraph`` or a ``VoltageLift``. Requires v0 in
-    cluster 0, v1 in cluster 1 and both k-hop views to be trees (checked;
-    GirthTooLowError otherwise). A bucket mismatch that the single
-    repair cannot fix raises PairingFailureError.
+    cluster 0, v1 in cluster 1 and both k-hop views to be trees
+    (GirthTooLowError otherwise). A bucket mismatch that the single
+    repair cannot fix raises PairingFailureError. The walk reaches every
+    neighbour of each node below depth k and pairs no node twice, so it
+    succeeds only on two trees; the views are built only if it raises.
     """
-    skel = ct.skeleton
-    if k != skel.k:
-        raise ValueError(f"graph is built for k={skel.k}, got k={k}")
+    if k != ct.skeleton.k:
+        raise ValueError(f"graph is built for k={ct.skeleton.k}, got k={k}")
     for v in (v0, v1):
         if not (0 <= v < ct.n):
             raise ValueError(f"node {v} out of range for n={ct.n}")
+    if ct.cluster(v0) != 0:
+        raise ValueError(f"node {v0} is not in cluster 0")
+    if ct.cluster(v1) != 1:
+        raise ValueError(f"node {v1} is not in cluster 1")
+    try:
+        return _walk(ct, k, v0, v1)
+    except Exception:
+        for v in (v0, v1):
+            if not k_hop_subgraph(ct, v, k).is_tree():
+                msg = f"the {k}-hop view of node {v} is not a tree"
+                raise GirthTooLowError(msg) from None
+        raise
+
+
+def _walk(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
+    """The coupled walk of ``find_isomorphism``, on checked arguments."""
     cluster = ct.cluster
     neighbors = ct.neighbors
-    if cluster(v0) != 0:
-        raise ValueError(f"node {v0} is not in cluster 0")
-    if cluster(v1) != 1:
-        raise ValueError(f"node {v1} is not in cluster 1")
-    for v in (v0, v1):
-        if not k_hop_subgraph(ct, v, k).is_tree():
-            raise GirthTooLowError(f"the {k}-hop view of node {v} is not a tree")
-
-    toward = skel.out_exponent
-    clusters = skel.clusters
+    toward = ct.skeleton.out_exponent
+    clusters = ct.skeleton.clusters
     width = k + 2
 
     def buckets(node: int, exclude: int | None) -> list[list[int]]:
@@ -298,24 +307,22 @@ def unfold_view_tree(
     """
     beta = skel.beta
     clusters: list[int] = [root_cluster]
-    edges: list[tuple[int, int]] = []
-    # (node, cluster, exponent toward parent or None, depth)
-    queue: list[tuple[int, int, int | None, int]] = [(0, root_cluster, None, 0)]
-    head = 0
-    while head < len(queue):
-        node, cid, parent_exp, depth = queue[head]
-        head += 1
-        if depth == k:
-            continue
-        for exp in sorted(skel.out_label[cid]):
-            child_cluster = skel.out_label[cid][exp]
-            count = beta**exp
-            if parent_exp is not None and exp == parent_exp:
-                count -= 1
-            child_exp = skel.exponent_toward(child_cluster, cid)
-            for _ in range(count):
-                child = len(clusters)
-                clusters.append(child_cluster)
-                edges.append((node, child))
-                queue.append((child, child_cluster, child_exp, depth + 1))
-    return Graph.from_edges(len(clusters), edges), tuple(clusters)
+    exp_to_parent: list[int | None] = [None]
+    # BFS numbering, with each row's parent first, keeps every row sorted
+    rows: list[list[int]] = [[]]
+    layer = range(1)
+    for _ in range(k):
+        for node in layer:
+            cid = clusters[node]
+            for exp, child_cluster in sorted(skel.out_label[cid].items()):
+                count = beta**exp
+                if exp == exp_to_parent[node]:
+                    count -= 1
+                child_exp = skel.out_exponent[child_cluster][cid]
+                for _ in range(count):
+                    rows[node].append(len(rows))
+                    rows.append([node])
+                    clusters.append(child_cluster)
+                    exp_to_parent.append(child_exp)
+        layer = range(layer.stop, len(rows))
+    return Graph(len(rows), list(map(tuple, rows))), tuple(clusters)

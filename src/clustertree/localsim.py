@@ -248,21 +248,20 @@ def alg_greedy_view_vc(view: View) -> bool:
     A heuristic representative: views of different nodes may disagree, so
     global validity is not guaranteed.
     """
-    edges = set(view.edge_ids())
+    # id -> ids of the neighbours it still shares an uncovered edge with
+    nbrs: dict[int, set[int]] = {}
+    for a, b in view.edge_ids():
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
     root = view.root_id
-    degree: dict[int, int] = {}
-    for a, b in edges:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    while edges:
-        pick = max(degree, key=lambda x: (degree[x], -x))
+    while nbrs:
+        pick = max(nbrs, key=lambda x: (len(nbrs[x]), -x))
         if pick == root:
             return True
-        edges = {e for e in edges if pick not in e}
-        degree = {}
-        for a, b in edges:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
+        for u in nbrs.pop(pick):
+            nbrs[u].remove(pick)
+            if not nbrs[u]:
+                del nbrs[u]
     return False
 
 

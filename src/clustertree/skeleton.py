@@ -85,13 +85,6 @@ class ClusterTreeSkeleton:
             for cid, by_exp in self.out_label.items()
         }
 
-    def exponent_toward(self, c_from: int, c_to: int) -> int:
-        """Outgoing exponent of ``c_from`` on its edge to ``c_to``."""
-        try:
-            return self.out_exponent[c_from][c_to]
-        except KeyError:
-            raise KeyError(f"clusters {c_from} and {c_to} are not adjacent") from None
-
     def level_counts(self) -> list[int]:
         counts = [0] * (self.k + 2)
         for c in self.clusters:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from clustertree import iso
 from clustertree.errors import GirthTooLowError, NotATreeError, PairingFailureError
 from clustertree.graph import Graph, k_hop_subgraph
 from clustertree.iso import (
@@ -13,7 +14,7 @@ from clustertree.iso import (
     unfold_view_tree,
     verify_isomorphism,
 )
-from clustertree.lifts import VoltageLift
+from clustertree.lifts import VoltageLift, build_high_girth_ct
 from clustertree.skeleton import CTGraph, INTERNAL, build_skeleton
 
 
@@ -86,6 +87,28 @@ def test_precondition_checks(g14, g26):
     v1 = next(v for v in range(g26.graph.n) if g26.cluster_of[v] == 1)
     with pytest.raises(GirthTooLowError):
         find_isomorphism(g26, 2, 0, v1)
+
+
+def test_successful_walk_builds_no_view(monkeypatch, radius2_inputs, g26):
+    # the walk is its own tree test: views are built only when it fails
+    ct14, _ = build_high_girth_ct(1, 4)
+    groups = ct14.cluster_nodes()
+    lift, x0, x1 = radius2_inputs[1]
+    calls = []
+
+    def spy(g, v, k):
+        calls.append((v, k))
+        return k_hop_subgraph(g, v, k)
+
+    monkeypatch.setattr(iso, "k_hop_subgraph", spy)
+    find_isomorphism(ct14, 1, groups[0][0], groups[1][0])
+    find_isomorphism(lift, 2, x0, x1)
+    assert calls == []
+    # the failure path does build them, through the same name
+    v1 = next(v for v in range(g26.graph.n) if g26.cluster_of[v] == 1)
+    with pytest.raises(GirthTooLowError):
+        find_isomorphism(g26, 2, 0, v1)
+    assert calls == [(0, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +209,17 @@ def test_unfolded_tree_shape():
     assert clusters[0] == 0
     assert tree.n == 1 + 43 + (42 + 6 * 42 + 36 * (6**3 - 1))
     assert tree.edge_count() == tree.n - 1
+
+
+@pytest.mark.parametrize("k, beta", [(1, 4), (1, 5), (2, 6)])
+def test_unfolded_tree_rows_match_validated_build(k, beta):
+    # unfold_view_tree builds its rows trusted; Graph.from_edges on the
+    # tree's own edge list rejects loops and repeats and sorts each row
+    skel = build_skeleton(k, beta)
+    for c in skel.clusters:
+        tree, clusters = unfold_view_tree(skel, c.id, k)
+        assert tree.adj == Graph.from_edges(tree.n, tree.edges()).adj
+        assert len(clusters) == tree.n == tree.edge_count() + 1
 
 
 def test_radius2_walk_verifies_and_matches_oracle(radius2_inputs):

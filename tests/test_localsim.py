@@ -30,6 +30,7 @@ from clustertree.localsim import (
     Labeling,
     _edge_view_canon,
     alg_always_select,
+    alg_greedy_view_vc,
     alg_mutual_max_mm,
     alg_skip_local_max,
     alg_tape_greedy_mm,
@@ -459,6 +460,39 @@ def test_tape_greedy_mm_matches_reference_on_corpus(small_corpus):
         # radius g.n sees each node's whole component
         for k in (1, 2, g.n):
             for new, old in run_local(g, k, both, lab, tape_salt=k):
+                assert new == old
+
+
+def reference_greedy_view_vc(view):
+    """Oracle: alg_greedy_view_vc before it kept one neighbour set per id;
+    it rebuilt the degree dict and the edge set after every pick."""
+    edges = set(view.edge_ids())
+    root = view.root_id
+    degree: dict[int, int] = {}
+    for a, b in edges:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    while edges:
+        pick = max(degree, key=lambda x: (degree[x], -x))
+        if pick == root:
+            return True
+        edges = {e for e in edges if pick not in e}
+        degree = {}
+        for a, b in edges:
+            degree[a] = degree.get(a, 0) + 1
+            degree[b] = degree.get(b, 0) + 1
+    return False
+
+
+def test_greedy_view_vc_matches_reference_on_corpus(small_corpus):
+    def both(view):
+        return alg_greedy_view_vc(view), reference_greedy_view_vc(view)
+
+    for i, g in enumerate(small_corpus):
+        lab = Labeling.generate(g.n, i)
+        # radius g.n sees each node's whole component
+        for k in (1, 2, g.n):
+            for new, old in run_local(g, k, both, lab):
                 assert new == old
 
 

@@ -1,7 +1,8 @@
 """networkx as an independent oracle for the girth sweep, the
 covering-map check, the common lift, bipartite matching, the high-girth
 generator, rooted-tree canonical forms, the coupled walk at radius 2 and
-the exact small-instance solvers."""
+the exact small-instance solvers; and the coupled walk's tree test
+against the up-front view check it replaced."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import random
 import pytest
 from conftest import make_random_graph
 
+from clustertree import iso as iso_module
+from clustertree.errors import GirthTooLowError
 from clustertree.graph import Graph, girth, girth_at_least, k_hop_subgraph, line_graph
 from clustertree.iso import canonical_form_rooted, find_isomorphism, verify_isomorphism
 from clustertree.lifts import (
@@ -25,6 +28,7 @@ from clustertree.lifts import (
 )
 from clustertree.matching import hopcroft_karp
 from clustertree.localsim import DS, MAXM, VC, exact_small, validate_solution
+from clustertree.skeleton import CTGraph, build_skeleton
 
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
@@ -319,6 +323,99 @@ def test_radius2_walk_verdict_matches_networkx(g26):
     iso = dict(nx.isomorphism.rooted_tree_isomorphism(to_nx(a), 0, to_nx(b), 0))
     # networkx maps every node of one view onto the other, root to root
     assert walk and len(iso) == a.n and iso[0] == 0
+
+
+def precheck_then_walk(ct, k, v0, v1):
+    """Oracle: find_isomorphism before the walk became its own tree test.
+
+    It built both k-hop views first and walked only two trees. The walk
+    itself is unchanged. The inputs below pass the argument checks, so
+    they are left out.
+    """
+    for v in (v0, v1):
+        if not k_hop_subgraph(ct, v, k).is_tree():
+            raise GirthTooLowError(f"the {k}-hop view of node {v} is not a tree")
+    return iso_module._walk(ct, k, v0, v1)
+
+
+def walk_outcome(find, ct, k, v0, v1):
+    """The map ``find`` returns, or the class and text of what it raises."""
+    try:
+        return find(ct, k, v0, v1)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+SKEL26 = build_skeleton(2, 6)
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A graph on at most 9 nodes labelled with (2,6) skeleton clusters,
+    node 0 in cluster 0 and node 1 in cluster 1.
+
+    Labels are drawn from the base clusters 0..3 or from all ten plus
+    one id the skeleton lacks. About half the edges join clusters that
+    are adjacent in the skeleton, the rest any two nodes, and some reach
+    node n, which has no row and no label: the walk raises IndexError
+    there, and so does the view build when it expands node n.
+    """
+    n = draw(st.integers(2, 9))
+    label = st.integers(0, 3) | st.integers(0, len(SKEL26.clusters))
+    labels = (0, 1, *draw(st.lists(label, min_size=n - 2, max_size=n - 2)))
+    pairs = list(itertools.combinations(range(n + 1), 2))
+    adjacent = [
+        (u, v)
+        for u, v in pairs
+        if v < n and labels[v] in SKEL26.out_exponent.get(labels[u], ())
+    ]
+    edge = st.sampled_from(pairs)
+    if adjacent:
+        edge = st.sampled_from(adjacent) | edge
+    edges = draw(st.lists(edge, unique=True, max_size=2 * n))
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        if v < n:
+            rows[v].append(u)
+    graph = Graph(n, [tuple(sorted(r)) for r in rows])
+    return CTGraph(graph=graph, skeleton=SKEL26, cluster_of=labels)
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(ct=labelled_graphs())
+@hypothesis.example(ct=CTGraph(Graph(2, [(), ()]), SKEL26, (0, 1)))
+@hypothesis.example(
+    ct=CTGraph(Graph.from_edges(4, [(0, 2), (0, 3), (2, 3)]), SKEL26, (0, 1, 2, 1))
+)
+def test_walk_outcome_matches_precheck_then_walk(ct):
+    want = walk_outcome(precheck_then_walk, ct, 2, 0, 1)
+    assert walk_outcome(find_isomorphism, ct, 2, 0, 1) == want
+
+
+class Chord:
+    """A graph read through the walk's four names, plus one edge {a, b}."""
+
+    def __init__(self, base, a, b):
+        self.base, self.a, self.b = base, a, b
+        self.n, self.skeleton, self.cluster = base.n, base.skeleton, base.cluster
+
+    def neighbors(self, v):
+        extra = {self.a: (self.b,), self.b: (self.a,)}.get(v, ())
+        return sorted((*self.base.neighbors(v), *extra))
+
+
+def test_walk_on_lift_with_chord_raises_like_precheck(g26):
+    # a chord between two depth-1 nodes of the cluster-0 view closes a
+    # triangle through the root, so that view is no tree
+    lift = VoltageLift(g26)
+    groups = g26.cluster_nodes()
+    v0, v1 = lift.node(groups[0][0], 0), lift.node(groups[1][0], 0)
+    a, b = lift.neighbors(v0)[:2]
+    ct = Chord(lift, a, b)
+    want = (GirthTooLowError, f"the 2-hop view of node {v0} is not a tree")
+    assert walk_outcome(precheck_then_walk, ct, 2, v0, v1) == want
+    assert walk_outcome(find_isomorphism, ct, 2, v0, v1) == want
 
 
 def test_exact_small_matches_networkx(small_corpus):
