@@ -15,7 +15,7 @@ import random
 import sys
 
 from . import builder, iso, lifts, localsim, skeleton as sk
-from .errors import ClusterTreeError
+from .errors import ClusterTreeError, SizeCapExceededError
 from .graph import (
     girth,
     graph_to_dot,
@@ -169,6 +169,9 @@ def _cmd_lift(args) -> int:
         )
         return 0
     if args.op == "high-girth-regular":
+        # the output has exactly 2m nodes
+        if 2 * args.m > args.size_cap:
+            raise SizeCapExceededError(2 * args.m, args.size_cap)
         g = lifts.high_girth_regular(args.delta, args.girth, args.m)
         write_graph_json(args.out, g, meta={"stage": "high-girth-regular"})
         print(f"wrote {args.delta}-regular graph, girth {girth(g)}, to {args.out}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -386,7 +387,12 @@ def write_graph_json(
     meta: dict | None = None,
 ) -> None:
     """Write ``json.dumps(graph_to_json_dict(g, clusters, meta))`` and a
-    newline, encoding the edges of 4,096 nodes at a time."""
+    newline, writing the edges of 4,096 nodes at a time.
+
+    Relies on ``Graph``'s sorted rows: the edges (u, v) with u < v are
+    the tail of u's row after ``bisect_right(row, u)``, already in
+    order, and ``str`` of an int is the text json writes for it.
+    """
     # the document of an edgeless graph of the same order; its "edges"
     # follows "n", before clusters and meta, so the first match is its own
     edgeless = Graph(g.n, [()] * g.n)
@@ -396,20 +402,34 @@ def write_graph_json(
         fh.write(head + '"edges": [')
         sep = ""
         for lo in range(0, g.n, 4096):
-            nodes = range(lo, min(lo + 4096, g.n))
-            block = [(u, v) for u in nodes for v in g.adj[u] if u < v]
-            if block:
-                # dumps runs the C encoder; dump and iterencode would
-                # run the pure-Python one
+            # one string per node: "[u, a], [u, b]" for its row's tail a, b
+            pieces = []
+            for u in range(lo, min(lo + 4096, g.n)):
+                row = g.adj[u]
+                i = bisect_right(row, u)
+                if i < len(row):
+                    p = f"[{u}, "
+                    pieces.append(p + f"], {p}".join(map(str, row[i:])) + "]")
+            if pieces:
                 fh.write(sep)
-                fh.write(json.dumps(block)[1:-1])
+                fh.write(", ".join(pieces))
                 sep = ", "
         fh.write("]" + tail + "\n")
 
 
-def read_graph_json(path: str) -> GraphFile:
+def load_json(path: str):
+    """``json.load`` of the file at ``path``. Nesting too deep for the
+    decoder raises ValueError, like any other malformed JSON, rather
+    than RecursionError."""
     with open(path, encoding="utf-8") as fh:
-        return graph_from_json_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def read_graph_json(path: str) -> GraphFile:
+    return graph_from_json_dict(load_json(path))
 
 
 _LEVEL_COLORS = (

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, islice, repeat
 from operator import itemgetter, or_
 
@@ -347,6 +348,16 @@ def _high_girth_min_m(delta: int, girth_target: int) -> int:
     return 2 * sum((delta - 1) ** i for i in range(girth_target - 1))
 
 
+def _members(bits: int) -> tuple[int, ...]:
+    """The set bits of ``bits``, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
 def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     """A delta-regular graph on 2m nodes with girth at least girth_target.
 
@@ -369,7 +380,9 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     only shortens distances, so a link patches just the balls of the
     nodes that are at least two hops nearer to one end than to the
     other. Removing an edge can lengthen distances, so after a swap
-    every ball is rebuilt by BFS.
+    the whole table is rebuilt. The table is built in rounds, not by a
+    BFS per node: round r gives every node whose ball still grows its
+    ball r, the union of its own and its neighbours' balls r - 1.
     """
     if delta < 2:
         raise ValueError("degree must be at least 2")
@@ -392,29 +405,31 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     for v in range(n):
         link(v, (v + 1) % n)
 
-    def spread(frontier: int) -> int:
-        """Bitmask of the neighbours of the nodes in ``frontier``."""
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= mask[low.bit_length() - 1]
-            frontier ^= low
-        return reach
+    def ball_table() -> list[list[int]]:
+        """balls from the masks: entry r of u's list is the bitmask of the
+        nodes within r hops of u, up to u's eccentricity, so the last
+        entry is u's component."""
+        nbrs = list(map(_members, mask))
+        ball = [1 << u for u in range(n)]
+        table = [[b] for b in ball]
+        growing = range(n)  # nodes whose ball grew in the last round
+        while growing:
+            # round r reads only balls r - 1; a ball that stopped growing
+            # is its component and stays right
+            grown = [
+                reduce(or_, map(ball.__getitem__, nbrs[u]), ball[u])
+                for u in growing
+            ]
+            still = []
+            for u, b in zip(growing, grown):
+                if b != ball[u]:
+                    ball[u] = b
+                    table[u].append(b)
+                    still.append(u)
+            growing = still
+        return table
 
-    def bfs_balls(u: int) -> list[int]:
-        """balls[u] by BFS: entry r is the bitmask of the nodes within r
-        hops of u, up to u's eccentricity, so the last entry is u's
-        component."""
-        seen = frontier = 1 << u
-        out = [seen]
-        while True:
-            frontier = spread(frontier) & ~seen
-            if not frontier:
-                return out
-            seen |= frontier
-            out.append(seen)
-
-    balls = [bfs_balls(u) for u in range(n)]
+    balls = ball_table()
 
     def link_far(a: int, b: int) -> None:
         """Join a and b and patch the balls of every node whose distances
@@ -527,17 +542,9 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
             mask[y] ^= 1 << x
             link(x, vp)
             link(y, wp)
-            balls = [bfs_balls(u) for u in range(n)]
+            balls = ball_table()
 
-    adj = []
-    for bits in mask:
-        nbrs = []
-        while bits:
-            low = bits & -bits
-            nbrs.append(low.bit_length() - 1)
-            bits ^= low
-        adj.append(tuple(nbrs))
-    out = Graph(n, adj)
+    out = Graph(n, list(map(_members, mask)))
     if any(len(nbrs) != delta for nbrs in out.adj):
         raise IterationLimitError("output is not regular; bug")
     if not girth_at_least(out, girth_target):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Graph
+from .graph import Graph, load_json
 
 INTERNAL = "internal"
 LEAF = "leaf"
@@ -422,8 +422,7 @@ def write_skeleton_json(path: str, skel: ClusterTreeSkeleton) -> None:
 
 
 def read_skeleton_json(path: str) -> ClusterTreeSkeleton:
-    with open(path, encoding="utf-8") as fh:
-        return skeleton_from_json_dict(json.load(fh))
+    return skeleton_from_json_dict(load_json(path))
 
 
 def skeleton_to_dot(skel: ClusterTreeSkeleton) -> str:

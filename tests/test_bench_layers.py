@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 import sys
 import types
 from pathlib import Path
 
-from clustertree import lifts
+from clustertree import graph, lifts
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -66,3 +67,17 @@ def test_pipeline_calls_its_lift_layers_once(monkeypatch):
     }
     # lifts.common_lift.nodes counts the output, not a whole lift
     assert results["common_lift"][0][0] is ct.graph
+
+
+def test_byte_counters_read_the_path_argument(tmp_path):
+    # the tracer's .bytes counters take the file size of args[0], so the
+    # path must stay the first parameter of both JSON functions
+    counters = load("tracer").COUNTERS
+    path = tmp_path / "g.json"
+    g = graph.Graph.from_edges(3, [(0, 1), (1, 2)])
+    graph.write_graph_json(str(path), g)
+    for name in ("write_graph_json", "read_graph_json"):
+        fn = getattr(graph, name)
+        assert next(iter(inspect.signature(fn).parameters)) == "path", name
+        counts = counters[f"graph.{name}"]((str(path), g), None)
+        assert counts == {f"graph.{name}.bytes": path.stat().st_size}, name

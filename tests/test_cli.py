@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from clustertree import lifts
 from clustertree.cli import dispatch
 
 # sha256 of CLI outputs for fixed seeds. A refactor must leave them
@@ -275,6 +276,30 @@ def test_lift_pipeline_cap_failure(tmp_path, capsys):
     assert "exceeds cap" in capsys.readouterr().err
 
 
+def test_lift_high_girth_regular_cap_failure(tmp_path, capsys, monkeypatch):
+    # 2m nodes over the cap end before the generator runs; a huge m
+    # would otherwise exhaust memory
+    def spy(*args):
+        raise AssertionError("high_girth_regular ran past the size cap")
+
+    monkeypatch.setattr(lifts, "high_girth_regular", spy)
+    out = tmp_path / "x.json"
+    code = run(
+        ["lift", "--op", "high-girth-regular", "--delta", "2", "--girth", "3",
+         "--m", "100000000", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: estimated output size 200000000 exceeds cap 5000000\n"
+    )
+    code = run(
+        ["lift", "--op", "high-girth-regular", "--delta", "3", "--girth", "5",
+         "--m", "30", "--size-cap", "59", "--out", str(out)]
+    )
+    assert code == 1
+    assert not out.exists()
+
+
 def test_export_dot(tmp_path):
     gpath = tmp_path / "g.json"
     run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)])
@@ -412,3 +437,23 @@ def test_malformed_input_ends_in_one_line_error(
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: " if code == 1 else "usage error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["verify-iso --graph", "simulate --graph", "export-dot --graph",
+     "export-dot --skeleton"],
+)
+def test_deeply_nested_input_ends_in_one_line_error(tmp_path, capsys, command):
+    # raw text: json.dumps cannot write nesting this deep
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    args = {
+        "verify-iso": ["--k", "1", "--all-pairs-sample", "2"],
+        "simulate": ["--k", "1", "--alg", "skip-local-max", "--kind", "vc",
+                     "--trials", "2"],
+        "export-dot": ["--out", str(tmp_path / "out.dot")],
+    }
+    command, flag = command.split(" ")
+    assert run([command, flag, str(bad), *args[command]]) == 2
+    assert capsys.readouterr().err == f"usage error: {bad}: JSON nested too deeply\n"

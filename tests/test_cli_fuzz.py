@@ -5,6 +5,7 @@ in an escaped exception."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -131,6 +132,11 @@ BLOCK = 4096
     None,
     None,
 ))
+# node 2's neighbours all lie below it; node 1 has them on both sides
+@hypothesis.example(case=(Graph.from_edges(3, [(0, 2), (1, 2)]), None, None))
+@hypothesis.example(case=(
+    Graph.from_edges(5, [(0, 1), (1, 2), (1, 4), (3, 4)]), None, None
+))
 # clusters, and meta that holds the text the writer splits at
 @hypothesis.example(case=(
     Graph.from_edges(2 * BLOCK + 1, [(0, 2 * BLOCK), (BLOCK - 1, BLOCK), (5000, 8000)]),
@@ -144,12 +150,34 @@ def test_graph_json_bytes_match_edge_list_document(tmp_path_factory, case):
     assert path.read_text(encoding="utf-8") == edge_list_document(g, clusters, meta)
 
 
-def test_pipeline_json_bytes_match_edge_list_document(tmp_path):
-    # the (1,4) pipeline output: 25,600 nodes, seven blocks, all with edges
+@pytest.fixture(scope="module")
+def pipeline14():
+    """The (1,4) pipeline output: 25,600 nodes, seven blocks, all with
+    edges, and the meta the CLI writes with it."""
     ct, _ = build_high_girth_ct(1, 4)
-    meta = {"k": 1, "beta": 4, "stage": "high-girth"}
+    return ct, {"k": 1, "beta": 4, "stage": "high-girth"}
+
+
+def test_pipeline_json_bytes_match_edge_list_document(tmp_path, pipeline14):
+    ct, meta = pipeline14
     path = tmp_path / "l14.json"
     write_graph_json(str(path), ct.graph, ct.cluster_of, meta)
     assert ct.graph.n > 6 * BLOCK
     text = path.read_text(encoding="utf-8")
     assert text == edge_list_document(ct.graph, ct.cluster_of, meta)
+
+
+def test_pipeline_json_write_peak(tmp_path, pipeline14):
+    # the writer holds one block's text at a time and builds no tuple
+    # per edge: writing this 1.4 MB file peaks near 2.6 MB; a tuple per
+    # edge of a block and its json.dumps text would reach 6.5 MB
+    ct, meta = pipeline14
+    path = tmp_path / "l14.json"
+    tracemalloc.start()
+    try:
+        write_graph_json(str(path), ct.graph, ct.cluster_of, meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_000_000
+    assert peak < 4_000_000
