@@ -33,14 +33,14 @@ class SizeCapExceededError(ClusterTreeError):
     """The estimated output size exceeds the configured cap.
 
     Carries ``estimate`` and ``cap`` so callers can decide what to do.
+    An estimate of more than 4,300 digits, or math.inf, is not written out.
     """
 
-    def __init__(self, estimate: int, cap: int):
+    def __init__(self, estimate: int | float, cap: int):
         self.estimate = estimate
         self.cap = cap
-        super().__init__(
-            f"estimated output size {estimate} exceeds cap {cap}"
-        )
+        shown = estimate if estimate < 10**4300 else "of 10^4300 or more"
+        super().__init__(f"estimated output size {shown} exceeds cap {cap}")
 
 
 class GirthTooLowError(ClusterTreeError):

@@ -22,6 +22,16 @@ from typing import Iterable
 INFINITE = math.inf
 
 
+def members(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending: the nodes of a node bitmask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 class Graph:
     """Simple undirected graph: no self-loops, no parallel edges."""
 

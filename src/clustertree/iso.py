@@ -271,14 +271,12 @@ def canonical_form_rooted(tree: Graph, root: int) -> str:
     depth = tree.bfs_distances(root)
     if len(depth) != n:
         raise NotATreeError("graph is not connected")
-    by_depth: dict[int, list[int]] = {}
-    for u, d in depth.items():
-        by_depth.setdefault(d, []).append(u)
     canon: list[str] = [""] * n
-    for d in sorted(by_depth, reverse=True):
-        for u in by_depth[d]:
-            kids = sorted(canon[c] for c in tree.adj[u] if depth[c] == d + 1)
-            canon[u] = "(" + "".join(kids) + ")"
+    # bfs_distances lists nodes by rising depth: backwards, children come first
+    for u in reversed(depth):
+        d = depth[u]
+        kids = sorted(canon[c] for c in tree.adj[u] if depth[c] == d + 1)
+        canon[u] = "(" + "".join(kids) + ")"
     return canon[root]
 
 

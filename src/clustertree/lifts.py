@@ -31,13 +31,12 @@ from .errors import (
     DegreeMismatchError,
     EmptyGraphError,
     IterationLimitError,
-    NotBipartiteError,
     NotRegularError,
     SizeCapExceededError,
 )
-from .graph import Graph, girth, girth_at_least
-from .matching import hopcroft_karp
-from .skeleton import ClusterTreeSkeleton, CTGraph, predicted_sizes
+from .graph import Graph, girth, girth_at_least, members
+from .matching import bipartition, hopcroft_karp
+from .skeleton import ClusterTreeSkeleton, CTGraph, _require_beta, predicted_sizes
 
 DEFAULT_SIZE_CAP = 5_000_000
 
@@ -76,13 +75,6 @@ def verify_covering_map(cm: CoveringMap) -> bool:
     return True
 
 
-def _require_regular(g: Graph) -> int:
-    degs = {len(nbrs) for nbrs in g.adj}
-    if len(degs) > 1:
-        raise NotRegularError(f"degrees {sorted(degs)} are not uniform")
-    return degs.pop() if degs else 0
-
-
 def matching_decomposition(g: Graph) -> list[list[tuple[int, int]]]:
     """Partition a regular bipartite graph's edges into perfect matchings.
 
@@ -90,14 +82,13 @@ def matching_decomposition(g: Graph) -> list[list[tuple[int, int]]]:
     it; the residual graph stays regular bipartite, so Hall's condition
     keeps holding. Returns degree-many matchings of sorted edge pairs.
     """
-    colors = g.two_coloring()
-    if colors is None:
-        raise NotBipartiteError("matching decomposition needs a bipartite graph")
-    delta = _require_regular(g)
-    left = [v for v in range(g.n) if colors[v] == 0]
+    left, _ = bipartition(g)
+    degs = {len(nbrs) for nbrs in g.adj}
+    if len(degs) > 1:
+        raise NotRegularError(f"degrees {sorted(degs)} are not uniform")
     remaining = [list(nbrs) for nbrs in g.adj]
     matchings: list[list[tuple[int, int]]] = []
-    for _ in range(delta):
+    for _ in range(max(degs, default=0)):
         stage = Graph(g.n, [tuple(nbrs) for nbrs in remaining])
         mate = hopcroft_karp(stage, left)
         if len(mate) != g.n:
@@ -166,13 +157,6 @@ def common_lift(
     one shared int per lift node, taken from a tuple of ids per kept v,
     so a row entry costs a pointer, not an int of its own.
     """
-    d1 = _require_regular(h)
-    d2 = _require_regular(h_prime)
-    if d1 != d2:
-        raise DegreeMismatchError(f"degrees differ: {d1} vs {d2}")
-    if (h.n == 0) != (h_prime.n == 0):
-        raise ClusterTreeError("an empty graph has no common lift with a nonempty one")
-
     def bipartite_stage(g: Graph) -> tuple[Graph, Sequence[int]]:
         # the bipartite graph to decompose and its node map down to g
         if g.two_coloring() is not None:
@@ -182,8 +166,13 @@ def common_lift(
 
     b1, down1 = bipartite_stage(h)
     b2, down2 = bipartite_stage(h_prime)
+    # each decomposition checks regularity, and its matching count is the degree
     m1 = matching_decomposition(b1)
     m2 = matching_decomposition(b2)
+    if len(m1) != len(m2):
+        raise DegreeMismatchError(f"degrees differ: {len(m1)} vs {len(m2)}")
+    if (h.n == 0) != (h_prime.n == 0):
+        raise ClusterTreeError("an empty graph has no common lift with a nonempty one")
     n1, n2 = b1.n, b2.n
 
     def partners(matchings, size: int) -> list[list[int]]:
@@ -272,9 +261,12 @@ def regular_supergraph(g: Graph) -> Graph:
         adj[u].remove(w)
         adj[w].remove(u)
 
-    def new_node() -> int:
-        adj.append(set())
-        return len(adj) - 1
+    def gadget(left: int, right: int) -> tuple[range, range]:
+        """Complete bipartite K_{left,right} on new nodes, left side first."""
+        lnodes = range(len(adj), len(adj) + left)
+        rnodes = range(lnodes.stop, lnodes.stop + right)
+        adj.extend([set(rnodes) for _ in lnodes] + [set(lnodes) for _ in rnodes])
+        return lnodes, rnodes
 
     deficient = [v for v in range(g.n) if len(adj[v]) < delta]
     # one lexicographic pass is maximal: degrees only grow, so a skipped
@@ -292,11 +284,7 @@ def regular_supergraph(g: Graph) -> Graph:
     if leftovers:
         assert len(leftovers) <= delta
         # K_{delta,delta} gadget; matching i pairs l_x with r_y, (x-y) % delta == i
-        lnodes = [new_node() for _ in range(delta)]
-        rnodes = [new_node() for _ in range(delta)]
-        for lx in lnodes:
-            for ry in rnodes:
-                add_edge(lx, ry)
+        lnodes, rnodes = gadget(delta, delta)
 
         def gadget_edge(mi: int, x: int) -> tuple[int, int]:
             # edge of matching mi containing l_x (1-based column x)
@@ -325,11 +313,7 @@ def regular_supergraph(g: Graph) -> Graph:
             # only possible for odd degree: the number of odd-degree nodes
             # in any graph is even
             assert delta % 2 == 1
-            lnodes2 = [new_node() for _ in range(delta)]
-            rnodes2 = [new_node() for _ in range(delta - 1)]
-            for lx in lnodes2:
-                for ry in rnodes2:
-                    add_edge(lx, ry)
+            lnodes2, _ = gadget(delta, delta - 1)
             add_edge(v, lnodes2[0])
             rest = lnodes2[1:]
             for a, b in zip(rest[0::2], rest[1::2]):
@@ -343,19 +327,21 @@ def regular_supergraph(g: Graph) -> Graph:
     return out
 
 
-def _high_girth_min_m(delta: int, girth_target: int) -> int:
-    """Smallest m (half the node count) that :func:`high_girth_regular` accepts."""
-    return 2 * sum((delta - 1) ** i for i in range(girth_target - 1))
-
-
-def _members(bits: int) -> tuple[int, ...]:
-    """The set bits of ``bits``, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
+def _high_girth_min_m(delta: int, girth_target: int) -> int | float:
+    """Smallest m (half the node count) that :func:`high_girth_regular`
+    accepts, or math.inf from 10^4300 on: no m or cap written in decimal
+    reaches that, and the whole sum can take minutes, so it stops there."""
+    limit = 10**4300
+    if delta == 2:
+        total = 2 * (girth_target - 1)
+    else:
+        total, term = 0, 2
+        for _ in range(girth_target - 1):
+            total += term
+            term *= delta - 1
+            if total >= limit:
+                break
+    return total if total < limit else math.inf
 
 
 def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
@@ -391,7 +377,8 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     min_m = _high_girth_min_m(delta, girth_target)
     if m < min_m:
         raise BoundViolatedError(
-            f"m={m} is below the required minimum {min_m} for "
+            f"m={m} is below the required minimum "
+            f"{min_m if min_m < math.inf else 'of 10^4300 or more'} for "
             f"delta={delta}, girth>={girth_target}"
         )
     n = 2 * m
@@ -409,7 +396,7 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
         """balls from the masks: entry r of u's list is the bitmask of the
         nodes within r hops of u, up to u's eccentricity, so the last
         entry is u's component."""
-        nbrs = list(map(_members, mask))
+        nbrs = list(map(members, mask))
         ball = [1 << u for u in range(n)]
         table = [[b] for b in ball]
         growing = range(n)  # nodes whose ball grew in the last round
@@ -494,8 +481,10 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     for target in range(3, delta + 1):
         ops = 0
         cap = 4 * m + 16
+        # degrees never fall (a swap keeps x's and y's): filter the last list
+        deficient = range(n)
         while True:
-            deficient = [v for v in range(n) if mask[v].bit_count() < target]
+            deficient = [v for v in deficient if mask[v].bit_count() < target]
             if not deficient:
                 break
             ops += 1
@@ -544,7 +533,7 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
             link(y, wp)
             balls = ball_table()
 
-    out = Graph(n, list(map(_members, mask)))
+    out = Graph(n, list(map(members, mask)))
     if any(len(nbrs) != delta for nbrs in out.adj):
         raise IterationLimitError("output is not regular; bug")
     if not girth_at_least(out, girth_target):
@@ -552,15 +541,24 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     return out
 
 
-def estimate_pipeline_size(k: int, beta: int) -> int:
-    """Upper bound on the common-lift node count for (k, beta).
+def estimate_pipeline_size(k: int, beta: int) -> int | float:
+    """Upper bound on the common-lift node count for (k, beta), or
+    math.inf when the CT graph or the generator's order alone reaches
+    10^4300. The CT graph's beta^(2k+1) nodes and more are at least
+    2^14285 > 10^4300 if (2k+1)(b-1) >= 14285, b being beta's bit length.
 
     Both factors may need a double cover, hence the factor 4 on the
     product of the supergraph bound and the minimal high-girth order.
     """
+    _require_beta(k, beta)
+    if (2 * k + 1) * (beta.bit_length() - 1) >= 14_285:
+        return math.inf
     pred = predicted_sizes(k, beta)
     delta = pred.max_degree
-    return 4 * (pred.n + 4 * delta) * (2 * _high_girth_min_m(delta, 2 * k + 1))
+    min_m = _high_girth_min_m(delta, 2 * k + 1)
+    if min_m == math.inf:  # an int past 2^1024 times math.inf overflows
+        return math.inf
+    return 4 * (pred.n + 4 * delta) * (2 * min_m)
 
 
 def build_high_girth_ct(

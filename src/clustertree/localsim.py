@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from .builder import DoubledGraph
 from .errors import GirthTooLowError, NotATreeError, TooLargeError
-from .graph import Graph, RootedSubgraph, girth_at_least, k_hop_subgraph
+from .graph import Graph, RootedSubgraph, girth_at_least, k_hop_subgraph, members
 from .iso import canonical_form_rooted
 from .matching import bipartition, hopcroft_karp, koenig_cover
 
@@ -383,16 +383,6 @@ def exact_mvc_bipartite(g: Graph) -> tuple[int, tuple[int, ...]]:
 _EXACT_LIMIT = 40
 
 
-def _members(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _nbr_masks(g: Graph) -> list[int]:
     """Bit w of entry v is set iff w is adjacent to v."""
     return [sum(1 << w for w in nbrs) for nbrs in g.adj]
@@ -416,7 +406,7 @@ def _mvc_branch_bound(g: Graph) -> int:
     def solve(alive: int, chosen: int, best: int) -> int:
         """Best cover size: ``chosen`` plus a cover of the edges among
         ``alive``, or ``best`` if none is smaller."""
-        live = [u for u in _members(alive) if nbr[u] & alive]
+        live = [u for u in members(alive) if nbr[u] & alive]
         if not live:
             return min(best, chosen)
         if chosen + matching_lb(alive) >= best:
@@ -446,9 +436,9 @@ def _mds_branch_bound(g: Graph) -> int:
             return best
         # one of the closed neighbours of u must be chosen: branch on the
         # undominated node with the fewest, widest candidate first
-        u = min(_members(undominated), key=width.__getitem__)
+        u = min(members(undominated), key=width.__getitem__)
         cands = sorted(
-            _members(closed[u]), key=lambda c: -(closed[c] & undominated).bit_count()
+            members(closed[u]), key=lambda c: -(closed[c] & undominated).bit_count()
         )
         for c in cands:
             best = solve(undominated & ~closed[c], size + 1, best)
@@ -463,7 +453,7 @@ def _maxm_branch_bound(g: Graph) -> int:
     def solve(alive: int, size: int, best: int) -> int:
         """Best matching size: ``size`` plus a matching among ``alive``,
         or ``best`` if none is larger."""
-        live = [u for u in _members(alive) if nbr[u] & alive]
+        live = [u for u in members(alive) if nbr[u] & alive]
         if size + len(live) // 2 <= best:
             return best
         if not live:
@@ -471,7 +461,7 @@ def _maxm_branch_bound(g: Graph) -> int:
         # branch on the min-degree node: match it to each neighbour, or not
         u = min(live, key=lambda x: ((nbr[x] & alive).bit_count(), x))
         rest = alive & ~(1 << u)
-        for w in _members(nbr[u] & alive):
+        for w in members(nbr[u] & alive):
             best = solve(rest & ~(1 << w), size + 1, best)
         return solve(rest, size, best)
 
@@ -483,24 +473,19 @@ def exact_small(g: Graph, kind: str) -> int:
 
     Each search state is one bitmask over the nodes, and each node's
     neighbours are one bitmask too; a branch passes on a new mask and
-    returns its best value, so nothing is undone. Vertex cover and dominating set are limited to 40 nodes; maximum
-    matching uses augmenting paths on bipartite graphs of any size and
-    branch and bound (also limited) otherwise.
+    returns its best value, so nothing is undone. Vertex cover and
+    dominating set are limited to 40 nodes; maximum matching uses
+    augmenting paths on bipartite graphs and is limited otherwise.
     """
-    if kind == MAXM:
-        if g.two_coloring() is not None:
-            left, _ = bipartition(g)
-            return len(hopcroft_karp(g, left)) // 2
-        if g.n > _EXACT_LIMIT:
-            raise TooLargeError(f"{g.n} nodes exceeds the exact limit")
-        return _maxm_branch_bound(g)
+    if kind == MAXM and g.two_coloring() is not None:
+        left, _ = bipartition(g)
+        return len(hopcroft_karp(g, left)) // 2
     if g.n > _EXACT_LIMIT:
         raise TooLargeError(f"{g.n} nodes exceeds the exact limit")
-    if kind == VC:
-        return _mvc_branch_bound(g)
-    if kind == DS:
-        return _mds_branch_bound(g)
-    raise ValueError(f"no exact solver for kind {kind!r}")
+    solver = {VC: _mvc_branch_bound, DS: _mds_branch_bound, MAXM: _maxm_branch_bound}
+    if kind not in solver:
+        raise ValueError(f"no exact solver for kind {kind!r}")
+    return solver[kind](g)
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +511,15 @@ class SimulationReport:
 
 
 def _oracle_optimum(g: Graph, kind: str) -> int | None:
+    """Optimum for ``kind``, or None for MIS and past the exact limit."""
+    if kind == MIS:
+        return None
     try:
-        if kind == VC:
-            if g.two_coloring() is not None:
-                return exact_mvc_bipartite(g)[0]
-            return exact_small(g, VC)
-        if kind in (MAXM, MM):
-            return exact_small(g, MAXM)
-        if kind == DS:
-            return exact_small(g, DS)
+        if kind == VC and g.two_coloring() is not None:
+            return exact_mvc_bipartite(g)[0]
+        return exact_small(g, MAXM if kind == MM else kind)
     except TooLargeError:
         return None
-    return None
 
 
 def measure_expectation(

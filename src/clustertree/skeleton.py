@@ -320,19 +320,14 @@ def validate_ct_graph(ct: CTGraph) -> ValidationReport:
                 )
             )
 
-    adjacent_pairs = {frozenset((e.a, e.b)) for e in skel.edges}
-    expected: dict[tuple[int, int], int] = {}
-    for e in skel.edges:
-        expected[(e.a, e.b)] = beta**e.exp_a
-        expected[(e.b, e.a)] = beta**e.exp_b
-
+    exponent = skel.out_exponent
     independence_bad: list[tuple[int, int]] = []
     stray: list[tuple[int, int]] = []
     for u, v in g.edges():
         cu, cv = ct.cluster_of[u], ct.cluster_of[v]
         if cu == cv:
             independence_bad.append((u, v))
-        elif frozenset((cu, cv)) not in adjacent_pairs:
+        elif cv not in exponent[cu]:
             stray.append((u, v))
     if independence_bad:
         out.append(
@@ -352,7 +347,7 @@ def validate_ct_graph(ct: CTGraph) -> ValidationReport:
     # biregularity per skeleton edge
     for e in skel.edges:
         for side, other in ((e.a, e.b), (e.b, e.a)):
-            want = expected[(side, other)]
+            want = beta ** exponent[side][other]
             offenders = []
             for v in groups[side]:
                 have = sum(1 for w in g.adj[v] if ct.cluster_of[w] == other)

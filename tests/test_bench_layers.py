@@ -7,11 +7,16 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
 
+import clustertree
 from clustertree import graph, lifts
+from clustertree.cli import dispatch
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -81,3 +86,42 @@ def test_byte_counters_read_the_path_argument(tmp_path):
         assert next(iter(inspect.signature(fn).parameters)) == "path", name
         counts = counters[f"graph.{name}"]((str(path), g), None)
         assert counts == {f"graph.{name}.bytes": path.stat().st_size}, name
+
+
+def test_every_layer_records_calls_on_small_workloads(tmp_path):
+    # the tracer fails a bench run whose LAYERS span records no call on a
+    # workload of its row; small versions of the four workloads show it
+    # here: (1,4) in place of (1,5) and (1,16), and few trials and pairs
+    run = load("run")
+    g14, l14 = str(tmp_path / "g14.json"), str(tmp_path / "l14.json")
+    assert dispatch(["build", "--k", "1", "--beta", "4", "--out", g14]) == 0
+    simulate = ["simulate", "--graph", g14, "--k", "1", "--alg", "skip-local-max",
+                "--kind", "vc", "--trials", "2", "--seed", "0"]
+    workloads = {  # run in this order: verify-iso reads the pipeline's output
+        run.PIPE: ["lift", "--op", "pipeline", "--k", "1", "--beta", "4", "--out", l14],
+        run.SIM: [*simulate, "--report", str(tmp_path / "sim.json")],
+        run.ISO: ["verify-iso", "--graph", l14, "--k", "1", "--all-pairs-sample", "3",
+                  "--seed", "0", "--report", str(tmp_path / "iso.json")],
+        run.JOBS2: [*simulate, "--jobs", "2", "--report", str(tmp_path / "jobs2.json")],
+    }
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    calls = {}
+    for name, argv in workloads.items():
+        spans = tmp_path / f"{name}.spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "tracer.py"), str(spans), *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
+        stats = json.loads(spans.read_text())["stats"]
+        calls[name] = {fn: s["calls"] for fn, s in stats.items()}
+    silent = sorted(
+        (fn, w)
+        for fn, moves in run.LAYERS.values()
+        if fn
+        for w in moves
+        if not calls[w].get(fn)
+    )
+    assert not silent

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import clustertree
 from clustertree import lifts
 from clustertree.cli import dispatch
 
@@ -306,6 +310,35 @@ def test_export_dot(tmp_path):
     dpath = tmp_path / "g.dot"
     assert run(["export-dot", "--graph", str(gpath), "--out", str(dpath)]) == 0
     assert "subgraph cluster_0" in dpath.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--op", "pipeline", "--k", "50", "--beta", "102"],
+        ["--op", "pipeline", "--k", "400", "--beta", "802"],
+        ["--op", "high-girth-regular", "--delta", "3", "--girth", "20000", "--m", "30"],
+        ["--op", "high-girth-regular", "--delta", "3", "--girth", "300000", "--m", "30"],
+    ],
+    ids=["pipeline-50-102", "pipeline-400-802", "girth-20000", "girth-300000"],
+)
+def test_size_guards_end_at_once_on_astronomical_sizes(argv, tmp_path):
+    # the generator's minimum order has about 2k log2(beta^(k+1)) bits for
+    # the pipeline and girth log2(delta - 1) bits for the generator; a
+    # guard that builds it whole hangs, or fails to print it and exits 2,
+    # so each case runs in its own process under a timeout
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = tmp_path / "x.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustertree", "lift", *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "10^4300 or more" in proc.stderr
+    assert not out.exists()
 
 
 def test_export_dot_doubled_graph(tmp_path):

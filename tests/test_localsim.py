@@ -496,6 +496,32 @@ def test_greedy_view_vc_matches_reference_on_corpus(small_corpus):
                 assert new == old
 
 
+def reference_oracle_optimum(g, kind):
+    """Oracle: measure_expectation's optimum as it was dispatched, one
+    branch per kind."""
+    try:
+        if kind == VC:
+            if g.two_coloring() is not None:
+                return exact_mvc_bipartite(g)[0]
+            return exact_small(g, VC)
+        if kind in (MAXM, MM):
+            return exact_small(g, MAXM)
+        if kind == DS:
+            return exact_small(g, DS)
+    except TooLargeError:
+        return None
+    return None
+
+
+def test_oracle_optimum_matches_reference_dispatch(small_corpus):
+    odd41 = Graph.from_edges(41, [(i, (i + 1) % 41) for i in range(41)])
+    for g in [*small_corpus, odd41]:
+        for kind in (VC, DS, MAXM, MM, MIS):
+            assert localsim._oracle_optimum(g, kind) == reference_oracle_optimum(g, kind)
+    # past the exact limit every kind has no optimum
+    assert {localsim._oracle_optimum(odd41, kind) for kind in localsim.KINDS} == {None}
+
+
 def test_mm_to_mvc_requires_large_constant():
     with pytest.raises(ValueError):
         mm_to_mvc(C4, alg_tape_greedy_mm, rounds=4, c=10)

@@ -16,7 +16,12 @@ from conftest import make_random_graph
 from clustertree import iso as iso_module
 from clustertree.errors import GirthTooLowError
 from clustertree.graph import Graph, girth, girth_at_least, k_hop_subgraph, line_graph
-from clustertree.iso import canonical_form_rooted, find_isomorphism, verify_isomorphism
+from clustertree.iso import (
+    canonical_form_rooted,
+    find_isomorphism,
+    unfold_view_tree,
+    verify_isomorphism,
+)
 from clustertree.lifts import (
     CoveringMap,
     VoltageLift,
@@ -308,6 +313,36 @@ def test_canonical_form_ignores_relabelling(tree, data):
     assert canonical_form_rooted(relabelled, perm[root]) == canonical_form_rooted(
         g, root
     )
+
+
+def reference_canonical_form_rooted(tree: Graph, root: int) -> str:
+    """Oracle: canonical_form_rooted as it was, grouping the nodes by
+    depth and walking the sorted depths from the deepest."""
+    depth = tree.bfs_distances(root)
+    by_depth: dict[int, list[int]] = {}
+    for u, d in depth.items():
+        by_depth.setdefault(d, []).append(u)
+    canon = [""] * tree.n
+    for d in sorted(by_depth, reverse=True):
+        for u in by_depth[d]:
+            kids = sorted(canon[c] for c in tree.adj[u] if depth[c] == d + 1)
+            canon[u] = "(" + "".join(kids) + ")"
+    return canon[root]
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(tree=rooted_trees())
+def test_canonical_form_matches_by_depth_reference(tree):
+    g, _ = tree
+    for root in range(g.n):
+        assert canonical_form_rooted(g, root) == reference_canonical_form_rooted(g, root)
+
+
+def test_canonical_form_matches_by_depth_reference_on_view_trees():
+    skel = build_skeleton(2, 6)
+    for c in skel.clusters:
+        tree, _ = unfold_view_tree(skel, c.id, 2)
+        assert canonical_form_rooted(tree, 0) == reference_canonical_form_rooted(tree, 0)
 
 
 def test_radius2_walk_verdict_matches_networkx(g26):

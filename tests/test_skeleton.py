@@ -316,3 +316,44 @@ def test_validate_flags_stray_and_size_violations(g14):
         CTGraph(graph=g, skeleton=g14.skeleton, cluster_of=tuple(relabeled))
     )
     assert any(v.constraint == "size-ratio" for v in report.violations)
+
+
+def test_validate_reports_of_the_flag_tests_are_pinned(g14):
+    # the corrupted graphs of the three tests above; the texts were
+    # recorded before validate_ct_graph read its degree table off the
+    # skeleton's cached out_exponent
+    g, skel, cluster_of = g14.graph, g14.skeleton, g14.cluster_of
+    v = next(w for w in g.adj[0] if cluster_of[w] == 1)
+    c1 = next(x for x in range(g.n) if cluster_of[x] == 1)
+    c2 = next(x for x in range(g.n) if cluster_of[x] == 2)
+    relabeled = (1, *cluster_of[1:])
+    cases = [
+        (Graph.from_edges(g.n, [e for e in g.edges() if e != (0, v)]), cluster_of),
+        (Graph.from_edges(g.n, g.edges() + [(0, 1)]), cluster_of),
+        (Graph.from_edges(g.n, g.edges() + [(c1, c2)]), cluster_of),
+        (g, relabeled),
+    ]
+    texts = [
+        str(validate_ct_graph(CTGraph(graph=h, skeleton=skel, cluster_of=cl)))
+        for h, cl in cases
+    ]
+    assert texts == [
+        "[biregularity] C0->C1 expects 1 neighbors per node; offenders "
+        "(node, count): [(0, 0)]\n"
+        "[biregularity] C1->C0 expects 4 neighbors per node; offenders "
+        "(node, count): [(64, 3)]",
+        "[independence] edges inside a cluster: [(0, 1)]",
+        "[stray-edges] edges between non-adjacent clusters: [(64, 80)]",
+        "[size-ratio] |C0|=63 and |C1|=17 violate |A| = beta*|B|\n"
+        "[size-ratio] |C0|=63 and |C2|=16 violate |A| = beta*|B|\n"
+        "[size-ratio] |C1|=17 and |C3|=4 violate |A| = beta*|B|\n"
+        "[independence] edges inside a cluster: [(0, 64)]\n"
+        "[stray-edges] edges between non-adjacent clusters: "
+        "[(0, 80), (0, 81), (0, 82), (0, 83)]\n"
+        "[biregularity] C1->C0 expects 4 neighbors per node; offenders "
+        "(node, count): [(0, 0), (64, 3)]\n"
+        "[biregularity] C2->C0 expects 16 neighbors per node; offenders "
+        "(node, count): [(80, 15), (81, 15), (82, 15), (83, 15)]\n"
+        "[biregularity] C1->C3 expects 1 neighbors per node; offenders "
+        "(node, count): [(0, 0)]",
+    ]
