@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import random
 import sys
@@ -87,6 +88,15 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    # n_0 = beta^(2k+1) and the sizes below it are printed in full; one of
+    # over 10,000 digits (k = 2000: 14,400) takes seconds, so refuse it
+    sk._require_beta(args.k, args.beta)
+    digits = (2 * args.k + 1) * math.log10(args.beta)
+    if digits > 10_000:
+        raise ClusterTreeError(
+            f"n_0 = beta^(2k+1) would have about {digits:,.0f} digits, "
+            "more than predict prints (10,000)"
+        )
     pred = sk.predicted_sizes(args.k, args.beta)
     doc = {
         "k": pred.k,

@@ -56,7 +56,8 @@ class Graph:
         """
         if n < 0:
             raise ValueError("node count must be nonnegative")
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # list rows while edges arrive, each a tuple once checked
+        adj: list = [[] for _ in range(n)]
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
@@ -72,7 +73,8 @@ class Graph:
             if any(map(operator.eq, nbrs, nbrs[1:])):
                 w = next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
                 raise ValueError(f"duplicate edge {(min(u, w), max(u, w))}")
-        return cls(n, list(map(tuple, adj)))
+            adj[u] = tuple(nbrs)
+        return cls(n, adj)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -360,6 +362,9 @@ def graph_from_json_dict(doc) -> GraphFile:
     """Parse a graph document; any malformed shape raises ValueError.
 
     ``type(x) is int`` keeps JSON booleans out of integer fields.
+    Consumes the document: "edges" is read in order, and each block of
+    4,096 entries is set to None as it is handed to ``Graph.from_edges``,
+    so the decoded pairs die while the rows grow.
     """
     if not isinstance(doc, dict):
         raise ValueError("graph document must be a JSON object")
@@ -379,8 +384,16 @@ def graph_from_json_dict(doc) -> GraphFile:
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("'meta' must be a JSON object")
+
+    def drained():
+        for lo in range(0, len(edges), 4096):
+            block = edges[lo:lo + 4096]
+            # same length in and out, so nothing shifts
+            edges[lo:lo + 4096] = [None] * len(block)
+            yield from block
+
     try:
-        g = Graph.from_edges(n, edges)
+        g = Graph.from_edges(n, drained())
     except (TypeError, ValueError) as exc:  # unpacking an entry raises either
         raise ValueError(f"bad 'edges' entry: {exc}") from None
     return GraphFile(

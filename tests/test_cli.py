@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,32 @@ def test_predict_prints_values_past_the_digit_limit(capsys):
     n0 = first.split()[0].removeprefix("n_0=")
     assert n0.isdigit() and len(n0) > 4300
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_predict_refuses_n0_past_ten_thousand_digits():
+    # n_0 = 6002^6001 has about 22,700 digits; building and printing the
+    # exact sizes would take about 19 s, so the command runs in its own
+    # process under a timeout
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustertree", "predict", "--k", "3000",
+         "--beta", "6002"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "22,674 digits" in proc.stderr
+
+
+def test_predict_refuses_by_digit_estimate(capsys):
+    # about 14,400 digits at k = 2000; an invalid beta is still a usage error
+    assert run(["predict", "--k", "2000", "--beta", "4002"]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert run(["predict", "--k", "100000", "--beta", "5"]) == 2
 
 
 def test_skeleton_command(tmp_path):

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from clustertree.cli import dispatch
-from clustertree.graph import Graph, read_graph_json, write_graph_json
+from clustertree.graph import Graph, load_json, read_graph_json, write_graph_json
 from clustertree.lifts import build_high_girth_ct
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -181,3 +181,25 @@ def test_pipeline_json_write_peak(tmp_path, pipeline14):
         tracemalloc.stop()
     assert path.stat().st_size > 1_000_000
     assert peak < 4_000_000
+
+
+def test_pipeline_json_read_peak(tmp_path, pipeline14):
+    # the reader frees the decoded [u, v] lists as it builds the rows and
+    # turns each row into its tuple in place, so it peaks near json.load's
+    # own peak (1.03 times it); holding the decoded lists, list rows and
+    # tuple rows at once would reach 1.32 times it
+    ct, meta = pipeline14
+    path = tmp_path / "l14.json"
+    write_graph_json(str(path), ct.graph, ct.cluster_of, meta)
+    peaks = []
+    for read in (load_json, read_graph_json):
+        tracemalloc.start()
+        try:
+            read(str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.10 * peaks[0], peaks
+    gf = read_graph_json(str(path))
+    assert gf.graph.adj == ct.graph.adj
+    assert all(type(row) is tuple for row in gf.graph.adj)

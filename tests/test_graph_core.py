@@ -15,6 +15,7 @@ from clustertree.graph import (
     graph_to_json_dict,
     k_hop_subgraph,
     line_graph,
+    read_graph_json,
 )
 from clustertree.lifts import VoltageLift
 
@@ -183,6 +184,58 @@ def test_json_round_trip(g14):
     assert gf.graph.edges() == g14.graph.edges()
     assert gf.clusters == g14.cluster_of
     assert gf.meta == {"k": 1, "beta": 4}
+
+
+# the exact message for each kind of bad entry
+BAD_EDGE_ENTRIES = {
+    "non-int endpoint": ([[0, 1], [0, "2"]], "edge (0, '2') has a non-integer endpoint"),
+    "float endpoint": ([[0, 1.0]], "edge (0, 1.0) has a non-integer endpoint"),
+    "true endpoint": ([[True, 1]], "edge (True, 1) has a non-integer endpoint"),
+    "self-loop": ([[0, 1], [2, 2]], "self-loop at node 2"),
+    "out of range": ([[0, 5]], "edge (0, 5) out of range for n=5"),
+    "negative": ([[-1, 0]], "edge (-1, 0) out of range for n=5"),
+    "duplicate": ([[0, 1], [0, 1]], "duplicate edge (0, 1)"),
+    "reversed duplicate": ([[2, 3], [1, 2], [3, 2]], "duplicate edge (2, 3)"),
+    "three elements": ([[0, 1, 2]], "too many values to unpack (expected 2)"),
+    "one element": ([[0]], "not enough values to unpack (expected 2, got 1)"),
+    "bare int": ([[0, 1], 7], "cannot unpack non-iterable int object"),
+    "null": ([None], "cannot unpack non-iterable NoneType object"),
+}
+
+
+@pytest.mark.parametrize(
+    "edges, message", BAD_EDGE_ENTRIES.values(), ids=BAD_EDGE_ENTRIES.keys()
+)
+def test_bad_edge_entries_keep_their_messages(tmp_path, edges, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 5, "edges": edges}))
+    with pytest.raises(ValueError) as info:
+        read_graph_json(str(path))
+    assert str(info.value) == f"bad 'edges' entry: {message}"
+
+
+@pytest.mark.parametrize(
+    "index, entry, message",
+    [
+        # the last entry of the reader's first block of 4,096
+        (4095, [7, 7], "self-loop at node 7"),
+        # the first entry of the second block
+        (4096, [0, "1"], "edge (0, '1') has a non-integer endpoint"),
+    ],
+    ids=["last-of-first-block", "first-of-second-block"],
+)
+def test_first_bad_edge_entry_is_reported_across_blocks(
+    tmp_path, index, entry, message
+):
+    edges = [[i, i + 1] for i in range(10_000)]
+    edges[index] = entry
+    # a second bad entry, more than a block later
+    edges[index + 4097] = [0, 20_000]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 20_000, "edges": edges}))
+    with pytest.raises(ValueError) as info:
+        read_graph_json(str(path))
+    assert str(info.value) == f"bad 'edges' entry: {message}"
 
 
 def test_json_clusters_length_checked():
