@@ -71,19 +71,17 @@ def _cmd_skeleton(args) -> int:
 def _cmd_build(args) -> int:
     ct = builder.build_low_girth(args.k, args.beta)
     if args.double:
-        doubled = builder.build_matching_double(ct)
-        meta = {"k": args.k, "beta": args.beta, "stage": "double"}
-        write_graph_json(args.out, doubled.graph, doubled.cluster_of, meta)
-        n, m = doubled.graph.n, doubled.graph.edge_count()
+        ct = builder.build_matching_double(ct)
     else:
         report = sk.validate_ct_graph(ct)
         if not report.ok:
             print(report, file=sys.stderr)
             return 1
-        meta = {"k": args.k, "beta": args.beta, "stage": "low-girth"}
-        write_graph_json(args.out, ct.graph, ct.cluster_of, meta)
-        n, m = ct.graph.n, ct.graph.edge_count()
-    print(f"wrote graph with {n} nodes / {m} edges to {args.out}")
+    stage = "double" if args.double else "low-girth"
+    meta = {"k": args.k, "beta": args.beta, "stage": stage}
+    g = ct.graph
+    write_graph_json(args.out, g, ct.cluster_of, meta)
+    print(f"wrote graph with {g.n} nodes / {g.edge_count()} edges to {args.out}")
     return 0
 
 
@@ -150,51 +148,39 @@ def _cmd_lift(args) -> int:
         _write_json(args.out, [[list(e) for e in m] for m in matchings])
         print(f"wrote {len(matchings)} perfect matchings to {args.out}")
         return 0
+    # the graph ops below write one graph, its maps and one line
+    clusters, meta, maps = None, {"stage": args.op}, ()
     if args.op == "double-cover":
-        g = read_graph_json(args.graph).graph
-        cover, cm = lifts.canonical_double_cover(g)
-        write_graph_json(args.out, cover, meta={"stage": "double-cover"})
-        if args.map_out:
-            _write_json(args.map_out, {"map": list(cm.map)})
-        print(f"wrote double cover with {cover.n} nodes to {args.out}")
-        return 0
-    if args.op == "common-lift":
-        g1 = read_graph_json(args.graph).graph
-        g2 = read_graph_json(args.graph2).graph
-        lifted, cm1, cm2 = lifts.common_lift(g1, g2)
-        write_graph_json(args.out, lifted, meta={"stage": "common-lift"})
-        if args.map_out:
-            _write_json(args.map_out, {"map": list(cm1.map)})
-        if args.map2_out:
-            _write_json(args.map2_out, {"map": list(cm2.map)})
-        print(f"wrote common lift with {lifted.n} nodes to {args.out}")
-        return 0
-    if args.op == "supergraph":
-        g = read_graph_json(args.graph).graph
-        sg = lifts.regular_supergraph(g)
-        write_graph_json(args.out, sg, meta={"stage": "supergraph"})
-        print(
-            f"wrote {sg.max_degree()}-regular supergraph with "
-            f"{sg.n} nodes to {args.out}"
+        g, cm = lifts.canonical_double_cover(read_graph_json(args.graph).graph)
+        maps = ((args.map_out, cm),)
+        what = f"double cover with {g.n} nodes"
+    elif args.op == "common-lift":
+        g, cm1, cm2 = lifts.common_lift(
+            read_graph_json(args.graph).graph, read_graph_json(args.graph2).graph
         )
-        return 0
-    if args.op == "high-girth-regular":
+        maps = ((args.map_out, cm1), (args.map2_out, cm2))
+        what = f"common lift with {g.n} nodes"
+    elif args.op == "supergraph":
+        g = lifts.regular_supergraph(read_graph_json(args.graph).graph)
+        what = f"{g.max_degree()}-regular supergraph with {g.n} nodes"
+    elif args.op == "high-girth-regular":
         # the output has exactly 2m nodes
         if 2 * args.m > args.size_cap:
             raise SizeCapExceededError(2 * args.m, args.size_cap)
         g = lifts.high_girth_regular(args.delta, args.girth, args.m)
-        write_graph_json(args.out, g, meta={"stage": "high-girth-regular"})
-        print(f"wrote {args.delta}-regular graph, girth {girth(g)}, to {args.out}")
-        return 0
-    if args.op == "pipeline":
+        what = f"{args.delta}-regular graph, girth {girth(g)},"
+    else:  # pipeline
         ct, cm = lifts.build_high_girth_ct(args.k, args.beta, args.size_cap)
+        g, clusters = ct.graph, ct.cluster_of
         meta = {"k": args.k, "beta": args.beta, "stage": "high-girth"}
-        write_graph_json(args.out, ct.graph, ct.cluster_of, meta)
-        if args.map_out:
-            _write_json(args.map_out, {"map": list(cm.map)})
-        print(f"wrote lifted CT graph with {ct.graph.n} nodes to {args.out}")
-        return 0
-    raise AssertionError(f"unhandled op {args.op}")
+        maps = ((args.map_out, cm),)
+        what = f"lifted CT graph with {g.n} nodes"
+    write_graph_json(args.out, g, clusters, meta)
+    for path, cm in maps:
+        if path:
+            _write_json(path, {"map": list(cm.map)})
+    print(f"wrote {what} to {args.out}")
+    return 0
 
 
 def _cmd_verify_iso(args) -> int:
@@ -208,29 +194,28 @@ def _cmd_verify_iso(args) -> int:
     if args.v0 is not None:
         pairs = [(args.v0, args.v1)]
     else:
-        c0 = [v for v in range(ct.graph.n) if ct.cluster_of[v] == 0]
-        c1 = [v for v in range(ct.graph.n) if ct.cluster_of[v] == 1]
-        if not (c0 and c1):
-            raise ClusterTreeError(f"{args.graph} has no cluster-0 or cluster-1 node")
+        # _load_ct admits only files that carry every skeleton cluster;
+        # each pair is drawn just before its walk
+        groups = ct.cluster_nodes()
         rng = random.Random(args.seed)
-        pairs = [
-            (rng.choice(c0), rng.choice(c1))
+        pairs = (
+            (rng.choice(groups[0]), rng.choice(groups[1]))
             for _ in range(args.all_pairs_sample)
-        ]
+        )
     histogram: dict[str, int] = {}
     special = 0
     success = True
-    for v0, v1 in pairs:
+    for count, (v0, v1) in enumerate(pairs, 1):
         phi = iso.find_isomorphism(ct, args.k, v0, v1)
         ok = iso.verify_isomorphism(ct, args.k, v0, v1, phi)
         success = success and ok
         special += phi.special_case_count()
-        for case, count in phi.case_histogram().items():
+        for case, hits in phi.case_histogram().items():
             key = str(case)
-            histogram[key] = histogram.get(key, 0) + count
+            histogram[key] = histogram.get(key, 0) + hits
     doc = {
         "success": success,
-        "pairs": len(pairs),
+        "pairs": count,
         "audit_case_histogram": histogram,
         "special_case_count": special,
     }
@@ -277,11 +262,9 @@ def _cmd_export_dot(args) -> int:
         levels = None
         if gf.clusters and gf.meta and "k" in gf.meta:
             skel = _meta_skeleton(gf, args.graph)
-            levels = {c.id: c.level for c in skel.clusters}
-            if max(gf.clusters) >= len(skel.clusters):
-                # doubled graph: mirror clusters reuse the base levels
-                m = len(skel.clusters)
-                levels.update({c.id + m: c.level for c in skel.clusters})
+            # a doubled graph's mirror clusters reuse the base levels
+            m = len(skel.clusters)
+            levels = {c.id + s: c.level for s in (0, m) for c in skel.clusters}
         text = graph_to_dot(gf.graph, gf.clusters, levels)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -113,20 +113,11 @@ class Graph:
         seen = [False] * self.n
         out: list[list[int]] = []
         for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            comp.sort()
-            out.append(comp)
+            if not seen[s]:
+                comp = sorted(self.bfs_distances(s))
+                for v in comp:
+                    seen[v] = True
+                out.append(comp)
         return out
 
     def two_coloring(self) -> list[int] | None:

@@ -65,12 +65,11 @@ def verify_covering_map(cm: CoveringMap) -> bool:
         return False
     if len(set(phi)) != tgt.n:
         return False
-    # target lists hold no duplicates, so equal sorted images mean the
-    # neighbours map one-to-one onto the target neighbourhood
-    want = [sorted(nbrs) for nbrs in tgt.adj]
+    # target rows are sorted tuples without duplicates, so equal sorted
+    # images mean the neighbours map one-to-one onto the target neighbourhood
     image = phi.__getitem__
     for v in range(src.n):
-        if sorted(map(image, src.adj[v])) != want[phi[v]]:
+        if tuple(sorted(map(image, src.adj[v]))) != tgt.adj[phi[v]]:
             return False
     return True
 

@@ -21,9 +21,6 @@ def hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
     exactly one endpoint in it). Returns the matching as a node -> mate
     map containing both directions.
     """
-    is_left = [False] * g.n
-    for v in left:
-        is_left[v] = True
     mate: dict[int, int] = {}
     dist: dict[int, float] = {}
 

@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import clustertree
-from clustertree import lifts
+from clustertree import iso, lifts
 from clustertree.cli import dispatch
+from clustertree.errors import PairingFailureError
+from clustertree.graph import Graph, write_graph_json
 
 # sha256 of CLI outputs for fixed seeds. A refactor must leave them
 # identical byte for byte; a change that alters one on purpose updates
@@ -44,6 +47,21 @@ def test_predict_prints_sizes(capsys):
     assert run(["predict", "--k", "1", "--beta", "4"]) == 0
     out = capsys.readouterr().out
     assert "n_0=64" in out and "n=100" in out and "max_degree=16" in out
+
+
+def test_predict_json_pins_every_key(capsys):
+    assert run(["predict", "--k", "1", "--beta", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "k": 1,
+        "beta": 4,
+        "n0": 64,
+        "n": 100,
+        "max_degree": 16,
+        "level_sizes": [64, 16, 4],
+        "cluster_counts": [1, 2, 1],
+        "total_bound_ok": True,
+        "excess_bound_ok": True,
+    }
 
 
 def test_predict_rejects_small_beta(capsys):
@@ -116,6 +134,35 @@ def test_build_and_verify_iso(tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["success"] is True
     assert doc["pairs"] == 4
+
+
+def test_verify_iso_draws_each_pair_as_it_walks(tmp_path, capsys, monkeypatch):
+    # a million sampled pairs end at the first failing walk; a pair list
+    # built before the first walk would take about 60 MB
+    gpath = tmp_path / "g.json"
+    assert run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)]) == 0
+    walked = []
+
+    def spy(ct, k, v0, v1):
+        walked.append((v0, v1))
+        raise PairingFailureError("spy walk fails")
+
+    monkeypatch.setattr(iso, "find_isomorphism", spy)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run(
+            ["verify-iso", "--graph", str(gpath), "--k", "1",
+             "--all-pairs-sample", "1000000"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == "error: spy walk fails\n"
+    assert peak < 8 * 2**20
+    # seed 0's first draw, the same rng.choice calls in the same order
+    assert walked == [(49, 77)]
 
 
 def test_build_double(tmp_path):
@@ -346,8 +393,14 @@ def test_export_dot(tmp_path):
         ["--op", "pipeline", "--k", "400", "--beta", "802"],
         ["--op", "high-girth-regular", "--delta", "3", "--girth", "20000", "--m", "30"],
         ["--op", "high-girth-regular", "--delta", "3", "--girth", "300000", "--m", "30"],
+        # beta = 2^70: the CT graph fits the bit-length test, the
+        # generator's minimum order does not
+        ["--op", "pipeline", "--k", "10", "--beta", "1180591620717411303424"],
+        # (2k+1)(bit length - 1) = 20,010: refused from bit lengths alone
+        ["--op", "pipeline", "--k", "1000", "--beta", "2002"],
     ],
-    ids=["pipeline-50-102", "pipeline-400-802", "girth-20000", "girth-300000"],
+    ids=["pipeline-50-102", "pipeline-400-802", "girth-20000", "girth-300000",
+         "pipeline-10-2^70", "pipeline-1000-2002"],
 )
 def test_size_guards_end_at_once_on_astronomical_sizes(argv, tmp_path):
     # the generator's minimum order has about 2k log2(beta^(k+1)) bits for
@@ -376,6 +429,34 @@ def test_export_dot_doubled_graph(tmp_path):
     text = dpath.read_text()
     # mirror clusters of the copy are rendered as their own groups
     assert "subgraph cluster_4" in text and "subgraph cluster_7" in text
+
+
+def test_export_dot_skeleton_text(tmp_path):
+    spath = tmp_path / "s.json"
+    assert run(["skeleton", "--k", "1", "--beta", "4", "--out", str(spath)]) == 0
+    dpath = tmp_path / "s.dot"
+    assert run(["export-dot", "--skeleton", str(spath), "--out", str(dpath)]) == 0
+    assert dpath.read_text() == (
+        "graph skeleton {\n"
+        '  0 [label="C0 (L0)", shape=box];\n'
+        '  1 [label="C1 (L1)", shape=box];\n'
+        '  2 [label="C2 (L1)", shape=ellipse];\n'
+        '  3 [label="C3 (L2)", shape=ellipse];\n'
+        '  0 -- 1 [taillabel="0", headlabel="1"];\n'
+        '  0 -- 2 [taillabel="1", headlabel="2"];\n'
+        '  1 -- 3 [taillabel="0", headlabel="1"];\n'
+        "}\n"
+    )
+
+
+def test_export_dot_graph_without_clusters_is_flat(tmp_path):
+    gpath = tmp_path / "p3.json"
+    write_graph_json(str(gpath), Graph.from_edges(3, [(0, 1), (1, 2)]))
+    dpath = tmp_path / "p3.dot"
+    assert run(["export-dot", "--graph", str(gpath), "--out", str(dpath)]) == 0
+    assert dpath.read_text() == (
+        "graph G {\n  0;\n  1;\n  2;\n  0 -- 1;\n  1 -- 2;\n}\n"
+    )
 
 
 def test_simulate_parallel_jobs(tmp_path):
@@ -422,6 +503,27 @@ def test_missing_required_flag_exits_2():
     assert run(["skeleton", "--k", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--k", "0", "--beta", "4"], "k must be a positive integer"),
+        (["verify-iso", "--graph", "g.json", "--k", "1"],
+         "need --v0/--v1 or --all-pairs-sample"),
+        (["lift", "--op", "high-girth-regular", "--delta", "1", "--girth", "5",
+          "--m", "30"], "degree must be at least 2"),
+        (["lift", "--op", "high-girth-regular", "--delta", "3", "--girth", "2",
+          "--m", "30"], "girth target must be at least 3"),
+    ],
+    ids=["build-k-zero", "verify-iso-no-pairs", "high-girth-delta-1",
+         "high-girth-girth-2"],
+)
+def test_bad_arguments_end_in_one_line_usage_error(tmp_path, capsys, argv, message):
+    out = ["--out", str(tmp_path / "x.json")] if argv[0] != "verify-iso" else []
+    assert run([*argv, *out]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
@@ -453,6 +555,11 @@ def _with_edge(doc, entry):
         ("verify-iso", lambda d: _with_edge(d, 5), [], 2),
         ("verify-iso", lambda d: {**d, "meta": {"k": 11, "beta": 24}}, [], 2),
         ("export-dot", lambda d: {**d, "meta": {"k": 11, "beta": 24}}, [], 2),
+        ("verify-iso", lambda d: _without(d, "clusters"), [], 1),
+        # cluster-1 nodes relabelled 0: the file lacks a skeleton cluster
+        ("verify-iso",
+         lambda d: {**d, "clusters": [c if c != 1 else 0 for c in d["clusters"]]},
+         [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -475,6 +582,8 @@ def _with_edge(doc, entry):
         "verify-iso-bare-int-edge",
         "verify-iso-k-beyond-clusters",
         "export-dot-k-beyond-clusters",
+        "verify-iso-no-clusters",
+        "verify-iso-no-cluster-1",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(

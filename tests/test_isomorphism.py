@@ -195,6 +195,13 @@ def test_canonical_form_rejects_non_trees():
         canonical_form_rooted(disconnected, 0)
 
 
+def test_canonical_form_rejects_a_cycle_plus_an_isolated_node():
+    # n - 1 edges, so only the reachability check can reject it
+    tri_plus = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(NotATreeError, match="^graph is not connected$"):
+        canonical_form_rooted(tri_plus, 0)
+
+
 # ---------------------------------------------------------------------------
 # radius-2 behavior on skeleton-unfolded view trees and on the voltage lift
 # ---------------------------------------------------------------------------

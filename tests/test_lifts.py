@@ -196,6 +196,16 @@ def test_verify_rejects_neighbourhoods_that_do_not_biject():
     )
 
 
+def test_verify_rejects_maps_off_the_target():
+    # K2 onto one of two disjoint edges: every neighbourhood maps onto
+    # its image's, so only the surjectivity check rejects the map
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    k2 = Graph.from_edges(2, [(0, 1)])
+    assert not verify_covering_map(CoveringMap(source=k2, target=two_edges, map=(0, 1)))
+    # an image outside the target is rejected before any row is read
+    assert not verify_covering_map(CoveringMap(source=k2, target=k2, map=(2, 0)))
+
+
 # ---------------------------------------------------------------------------
 # common lift
 # ---------------------------------------------------------------------------

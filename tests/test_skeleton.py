@@ -265,6 +265,20 @@ def test_validate_accepts_built_graph(g14):
     assert validate_ct_graph(g14).ok
 
 
+def test_validate_flags_malformed_assignments(g14):
+    g, skel = g14.graph, g14.skeleton
+    short = CTGraph(graph=g, skeleton=skel, cluster_of=g14.cluster_of[:99])
+    assert str(validate_ct_graph(short)) == (
+        "[assignment] cluster_of has 99 entries for 100 nodes"
+    )
+    unknown = CTGraph(graph=g, skeleton=skel, cluster_of=(9, *g14.cluster_of[1:]))
+    assert str(validate_ct_graph(unknown)) == "[assignment] unknown cluster ids [9]"
+
+
+def test_clean_report_reads_valid(g14):
+    assert str(validate_ct_graph(g14)) == "valid CT graph"
+
+
 def test_validate_flags_missing_edge(g14):
     g = g14.graph
     # drop one cluster-0 / cluster-1 edge
