@@ -23,9 +23,8 @@ def build_low_girth(k: int, beta: int) -> CTGraph:
     neighbors in B and every B-node beta^(x+1) neighbors in A.
     """
     skel = build_skeleton(k, beta)
-    sizes = {
-        c.id: beta ** (2 * k - c.level + 1) for c in skel.clusters
-    }
+    pred = predicted_sizes(k, beta)
+    sizes = {c.id: pred.level_sizes[c.level] for c in skel.clusters}
     offsets: dict[int, int] = {}
     total = 0
     for c in skel.clusters:
@@ -53,7 +52,7 @@ def build_low_girth(k: int, beta: int) -> CTGraph:
         for v in range(offsets[c.id], offsets[c.id] + sizes[c.id]):
             cluster_of[v] = c.id
     ct = CTGraph(graph=graph, skeleton=skel, cluster_of=tuple(cluster_of))
-    assert graph.n == predicted_sizes(k, beta).n
+    assert graph.n == pred.n
     return ct
 
 

@@ -59,6 +59,11 @@ def _load_ct(path: str) -> sk.CTGraph:
 
 
 def _cmd_skeleton(args) -> int:
+    sk._require_beta(args.k, args.beta)
+    try:
+        sk.require_cluster_room(args.k, lifts.DEFAULT_SIZE_CAP)
+    except ValueError as exc:  # valid arguments, too large an output
+        raise ClusterTreeError(str(exc)) from None
     skel = sk.build_skeleton(args.k, args.beta)
     sk.write_skeleton_json(args.out, skel)
     if args.dot:
@@ -69,7 +74,18 @@ def _cmd_skeleton(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    ct = builder.build_low_girth(args.k, args.beta)
+    k, beta, cap = args.k, args.beta, lifts.DEFAULT_SIZE_CAP
+    sk._require_beta(k, beta)
+    # the root cluster's n_0 nodes have 1 + beta + ... + beta^k edges
+    # each; n_0 = beta^(2k+1) >= 2^((2k+1)(b-1)), b the bit length of
+    # beta, refuses a huge n_0 before it is computed
+    too_many = (2 * k + 1) * (beta.bit_length() - 1) >= cap.bit_length()
+    if not too_many:
+        pred = sk.predicted_sizes(k, beta)
+        too_many = pred.n0 * ((pred.max_degree - 1) // (beta - 1)) > cap
+    if too_many:
+        raise ClusterTreeError(f"the ({k}, {beta}) graph has more than {cap} edges")
+    ct = builder.build_low_girth(k, beta)
     if args.double:
         ct = builder.build_matching_double(ct)
     else:
@@ -145,7 +161,7 @@ def _cmd_lift(args) -> int:
     if args.op == "matching-decomposition":
         g = read_graph_json(args.graph).graph
         matchings = lifts.matching_decomposition(g)
-        _write_json(args.out, [[list(e) for e in m] for m in matchings])
+        _write_json(args.out, matchings)  # json writes each pair as an array
         print(f"wrote {len(matchings)} perfect matchings to {args.out}")
         return 0
     # the graph ops below write one graph, its maps and one line

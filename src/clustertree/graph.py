@@ -21,6 +21,10 @@ from typing import Iterable
 # girth of an acyclic graph
 INFINITE = math.inf
 
+# the most nodes a command builds from its arguments, and the most a graph
+# file may declare beyond those its edges and clusters account for
+DEFAULT_SIZE_CAP = 5_000_000
+
 
 def members(mask: int) -> tuple[int, ...]:
     """The set bits of ``mask``, ascending: the nodes of a node bitmask."""
@@ -372,6 +376,12 @@ def graph_from_json_dict(doc) -> GraphFile:
         and all(type(c) is int and c >= 0 for c in clusters)
     ):
         raise ValueError(f"'clusters' must hold {n} nonnegative integers")
+    # a node needs a cluster entry or, past the cap, an edge end: a short
+    # file may not declare a huge graph
+    if clusters is None and n > 2 * len(edges) + DEFAULT_SIZE_CAP:
+        raise ValueError(
+            f"'n' exceeds twice the edge count by more than {DEFAULT_SIZE_CAP}"
+        )
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise ValueError("'meta' must be a JSON object")

@@ -31,18 +31,19 @@ from dataclasses import dataclass, field
 
 from .errors import GirthTooLowError, NotATreeError, PairingFailureError
 from .graph import Graph, RootedSubgraph, k_hop_subgraph
+from .lifts import CoveringMap, verify_covering_map
 from .skeleton import ClusterTreeSkeleton
 
 CASE_NONE = 0
-CASE_BOTH = 3
 
 
 @dataclass(frozen=True)
 class AuditRecord:
     """One coupled-walk pair. ``case`` is 1 or 2 for pairs at depth
     0 < d < k, None where classification does not apply (the root and
-    depth-k pairs), and 0/3 if neither/both cases held (a bug or a
-    non-CT input)."""
+    depth-k pairs), and 0 if neither case held (a bug or a non-CT
+    input). The cases exclude each other: case 1 needs round <= d and
+    case 2 needs d < round on the same cluster."""
 
     v: int
     w: int
@@ -171,8 +172,6 @@ def _walk(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
             and hv == hw
             and cv.parent_exponent == cw.parent_exponent
         )
-        if case1 and case2:
-            return CASE_BOTH
         if case1:
             return 1
         if case2:
@@ -229,28 +228,24 @@ def verify_isomorphism(
     """Definitional check that ``phi`` is a view isomorphism v0 -> v1.
 
     ``ct`` is a ``CTGraph`` or a ``VoltageLift``. Confirms that the
-    forward map sends v0 to v1 and is a bijection from exactly the nodes
-    of the k-hop view of v0 onto those of v1, and that every node's
-    neighbours map onto exactly the neighbours of its image.
+    forward map sends v0 to v1 and exactly the nodes of the k-hop view
+    of v0 into the view of v1, that the views have equal order, and
+    that the map is a covering map of view 0 onto view 1: a covering
+    map between graphs of equal order is a bijection, hence an
+    isomorphism.
     """
     sub0 = k_hop_subgraph(ct, v0, k)
     sub1 = k_hop_subgraph(ct, v1, k)
     f = phi.forward
-    if f.get(v0) != v1 or len(f) != len(sub0.nodes):
+    if f.get(v0) != v1 or not len(f) == len(sub0.nodes) == len(sub1.nodes):
         return False
     local1 = {u: i for i, u in enumerate(sub1.nodes)}
     try:
         # view-1 local index of each view-0 node's image
-        image = [local1[f[u]] for u in sub0.nodes]
+        image = tuple(local1[f[u]] for u in sub0.nodes)
     except KeyError:  # a view-0 node has no image, or one outside view 1
         return False
-    if len(image) != len(sub1.nodes) or len(set(image)) != len(image):
-        return False
-    adj1 = sub1.graph.adj
-    for i, nbrs in enumerate(sub0.graph.adj):
-        if tuple(sorted(map(image.__getitem__, nbrs))) != adj1[image[i]]:
-            return False
-    return True
+    return verify_covering_map(CoveringMap(sub0.graph, sub1.graph, image))
 
 
 # ---------------------------------------------------------------------------

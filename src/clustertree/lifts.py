@@ -34,11 +34,9 @@ from .errors import (
     NotRegularError,
     SizeCapExceededError,
 )
-from .graph import Graph, girth, girth_at_least, members
+from .graph import DEFAULT_SIZE_CAP, Graph, girth, girth_at_least, members
 from .matching import bipartition, hopcroft_karp
 from .skeleton import ClusterTreeSkeleton, CTGraph, _require_beta, predicted_sizes
-
-DEFAULT_SIZE_CAP = 5_000_000
 
 
 @dataclass(frozen=True)

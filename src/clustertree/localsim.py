@@ -729,22 +729,13 @@ def edge_indistinguishability_check(
         raise GirthTooLowError(f"doubled graph girth below {2 * k + 1}")
     c0_nodes = [v for v in range(g.n) if doubled.cluster_of[v] == 0]
     rng = random.Random(seed)
-    picks = (
-        sorted(rng.sample(c0_nodes, samples))
-        if samples < len(c0_nodes)
-        else c0_nodes
-    )
     checks = []
-    for v0 in picks:
+    for v0 in sorted(rng.sample(c0_nodes, min(samples, len(c0_nodes)))):
         c1_nbrs = [w for w in g.adj[v0] if doubled.cluster_of[w] == 1]
         assert len(c1_nbrs) == 1
         v1 = c1_nbrs[0]
         v0_bar = doubled.pairing[v0]
-        if k == 0:
-            passed = True
-        else:
-            a = _edge_view_canon(g, v0, v1, k)
-            b = _edge_view_canon(g, v0, v0_bar, k)
-            passed = a == b
-        checks.append(EdgePairCheck(v0=v0, v1=v1, v0_bar=v0_bar, passed=passed))
+        a = _edge_view_canon(g, v0, v1, k)
+        b = _edge_view_canon(g, v0, v0_bar, k)
+        checks.append(EdgePairCheck(v0=v0, v1=v1, v0_bar=v0_bar, passed=a == b))
     return EdgeIndistReport(k=k, checks=tuple(checks))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -421,6 +422,49 @@ def test_size_guards_end_at_once_on_astronomical_sizes(argv, tmp_path):
     assert not out.exists()
 
 
+HUGE_N = {"n": 1_000_000_000, "edges": []}
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["build", "--k", "3", "--beta", "8"], 1,
+         "error: the (3, 8) graph has more than 5000000 edges"),
+        (["build", "--k", "4", "--beta", "10", "--double"], 1,
+         "error: the (4, 10) graph has more than 5000000 edges"),
+        (["skeleton", "--k", "12", "--beta", "26"], 1,
+         "error: the skeleton for k=12 has more than 5000000 clusters"),
+        (["simulate", "--graph", "huge.json", "--k", "1", "--alg",
+          "skip-local-max", "--kind", "vc", "--trials", "1"], 2,
+         "usage error: 'n' exceeds twice the edge count by more than 5000000"),
+        (["export-dot", "--graph", "huge.json"], 2,
+         "usage error: 'n' exceeds twice the edge count by more than 5000000"),
+    ],
+    ids=["build-3-8", "build-4-10-double", "skeleton-12", "simulate-huge-n",
+         "export-dot-huge-n"],
+)
+def test_size_refusals_end_at_once_under_a_memory_limit(tmp_path, argv, code, message):
+    # unguarded, each of these builds until memory runs out, so each runs
+    # in its own process under a timeout and a 1 GB address-space limit
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    (tmp_path / "huge.json").write_text(json.dumps(HUGE_N))
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = "--report" if argv[0] == "simulate" else "--out"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustertree", *argv, out, "x.out"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        preexec_fn=limit_memory,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_export_dot_doubled_graph(tmp_path):
     gpath = tmp_path / "d.json"
     run(["build", "--k", "1", "--beta", "4", "--double", "--out", str(gpath)])
@@ -560,6 +604,8 @@ def _with_edge(doc, entry):
         ("verify-iso",
          lambda d: {**d, "clusters": [c if c != 1 else 0 for c in d["clusters"]]},
          [], 2),
+        # 32 bytes that declare 10^9 nodes: refused before any row exists
+        ("simulate", lambda d: {"n": 1_000_000_000, "edges": []}, [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -584,6 +630,7 @@ def _with_edge(doc, entry):
         "export-dot-k-beyond-clusters",
         "verify-iso-no-clusters",
         "verify-iso-no-cluster-1",
+        "simulate-n-past-its-edges",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(

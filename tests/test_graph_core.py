@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from clustertree import graph as graph_module
 from clustertree.graph import (
     INFINITE,
     Graph,
@@ -236,6 +237,23 @@ def test_first_bad_edge_entry_is_reported_across_blocks(
     with pytest.raises(ValueError) as info:
         read_graph_json(str(path))
     assert str(info.value) == f"bad 'edges' entry: {message}"
+
+
+def test_json_meta_must_be_an_object():
+    with pytest.raises(ValueError) as info:
+        graph_from_json_dict({"n": 2, "edges": [[0, 1]], "meta": [1]})
+    assert str(info.value) == "'meta' must be a JSON object"
+
+
+def test_json_n_past_what_edges_and_clusters_back_is_refused(monkeypatch):
+    # a node needs a cluster entry or an edge end once n passes the cap
+    monkeypatch.setattr(graph_module, "DEFAULT_SIZE_CAP", 10)
+    assert graph_from_json_dict({"n": 12, "edges": [[0, 1]]}).graph.n == 12
+    with pytest.raises(ValueError) as info:
+        graph_from_json_dict({"n": 13, "edges": [[0, 1]]})
+    assert str(info.value) == "'n' exceeds twice the edge count by more than 10"
+    doc = {"n": 20, "edges": [], "clusters": [0] * 20}
+    assert graph_from_json_dict(doc).graph.n == 20
 
 
 def test_json_clusters_length_checked():

@@ -162,6 +162,38 @@ def test_verify_rejects_wrong_root_image(g14):
     assert not verify_isomorphism(g14, 1, 0, 65, phi)
 
 
+def test_verify_rejects_a_root_sent_past_the_root():
+    # two disjoint edges: swapping the images keeps every adjacency
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    phi = iso.PartialIsomorphism(forward={0: 3, 1: 2}, backward={3: 0, 2: 1})
+    assert not verify_isomorphism(g, 1, 0, 2, phi)
+    swapped = iso.PartialIsomorphism(forward={0: 2, 1: 3}, backward={2: 0, 3: 1})
+    assert verify_isomorphism(g, 1, 0, 2, swapped)
+
+
+def test_verify_rejects_a_view_that_covers_a_smaller_one():
+    # the 3-hop views of a 6-cycle and a triangle are the whole cycles;
+    # i -> i mod 3 covers the triangle two to one, which no isomorphism does
+    g = Graph.from_edges(9, [(i, (i + 1) % 6) for i in range(6)]
+                         + [(6, 7), (7, 8), (6, 8)])
+    f = {i: 6 + i % 3 for i in range(6)}
+    phi = iso.PartialIsomorphism(forward=f, backward={w: v for v, w in f.items()})
+    assert not verify_isomorphism(g, 3, 0, 6, phi)
+
+
+def test_walk_records_case_zero_where_neither_case_holds():
+    # found with the labelled_graphs strategy of test_oracles.py: the
+    # repair pairs node 2 (cluster 4, a leaf) with node 3 (cluster 0) at
+    # depth 1, where neither case of the depth invariant holds
+    g = Graph.from_edges(4, [(0, 2), (1, 3)])
+    ct = CTGraph(graph=g, skeleton=build_skeleton(2, 6), cluster_of=(0, 1, 4, 0))
+    phi = find_isomorphism(ct, 2, 0, 1)
+    assert phi.forward == {0: 1, 2: 3}
+    assert [r.case for r in phi.audit] == [None, iso.CASE_NONE]
+    assert phi.special_case_count() == 1
+    assert verify_isomorphism(ct, 2, 0, 1, phi)
+
+
 # ---------------------------------------------------------------------------
 # canonical form oracle
 # ---------------------------------------------------------------------------

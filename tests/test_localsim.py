@@ -406,6 +406,15 @@ def test_mutual_edges_consistency(g14):
     assert validate_solution(g14.graph, MAXM, edges)
 
 
+def test_mutual_max_mm_proposes_nothing_at_an_isolated_node():
+    g = Graph.from_edges(3, [(0, 1)])
+    lab = Labeling.generate(g.n, 0)
+    outs = run_local(g, 1, alg_mutual_max_mm, lab)
+    assert outs[2] == ()
+    assert outs[0] == (lab.ids[1],) and outs[1] == (lab.ids[0],)
+    assert mutual_edges(g, lab, outs) == [(0, 1)]
+
+
 def test_mutual_edges_tolerates_junk_outputs():
     lab = Labeling.generate(C4.n, 0)
     # booleans and None are not proposals; nothing should match
@@ -655,6 +664,24 @@ def test_edge_view_canon_radius_two():
 def test_edge_indistinguishability_radius_zero(doubled14):
     report = edge_indistinguishability_check(doubled14, 0, samples=4)
     assert report.all_passed
+
+
+@pytest.mark.parametrize("samples", [64, 1000])
+def test_edge_indistinguishability_checks_each_cluster_zero_node_once(
+    doubled14, samples
+):
+    # (1,4) cluster 0 has 64 nodes; asking for as many or more checks
+    # each of them once, in ascending order
+    c0 = [v for v, c in enumerate(doubled14.cluster_of) if c == 0]
+    assert len(c0) == 64
+    report = edge_indistinguishability_check(doubled14, 1, samples=samples, seed=5)
+    assert [c.v0 for c in report.checks] == c0
+    assert report.all_passed
+
+
+def test_edge_view_canon_at_radius_zero_is_two_bare_roots(doubled14):
+    g = doubled14.graph
+    assert {_edge_view_canon(g, u, v, 0) for u, v in g.edges()} == {("()", "()")}
 
 
 def test_edge_indistinguishability_girth_guard(doubled14):

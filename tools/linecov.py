@@ -9,6 +9,9 @@ starts with that path, the CLI subprocesses the tests spawn and the
 forked ``simulate --jobs`` workers included, records the ``src/`` lines
 it runs with ``sys.settrace`` and writes them to that directory as it
 exits. A code object stops being traced once all of its lines have run.
+Hypothesis runs with ``--hypothesis-seed=0``, ahead of the caller's own
+arguments, so two runs on one tree draw the same examples and list the
+same lines.
 
 A module's executable lines are those its compiled code objects map
 instructions to. The report lists, per module, each of them that no
@@ -107,7 +110,8 @@ def main(argv: list[str]) -> int:
         paths = [tmp, str(SRC), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         status = subprocess.call(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *argv],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *argv],
             cwd=ROOT, env=env,
         )
         ran: dict[str, set[int]] = {}
