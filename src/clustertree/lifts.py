@@ -356,6 +356,12 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     guarantees a usable edge always exists, and a defensive cap turns
     any violation into an error instead of a hang.
 
+    The graph stays connected: the cycle is, a link keeps it so, and so
+    does a swap. When stuck, v' and w' are adjacent or a candidate pair
+    at most girth_target - 2 apart, so a shortest v'-w' path lies in
+    their balls of that radius, which x and y avoid. Removing xy leaves
+    v' and w' on one side, and the links xv' and yw' rejoin the other.
+
     Distances are kept, not recomputed: ``balls[u][r]`` is the bitmask
     of the nodes within r hops of u, for r up to u's eccentricity, built
     once by bitmask BFS. The farthest candidate of u is read off the
@@ -454,21 +460,16 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
         bu = balls[u]
         return bu[min(radius, len(bu) - 1)]
 
-    far = n + 1  # stands in for infinite distance between components
-
     def farthest(u: int, cands: int) -> tuple[int, int]:
         """Distance from u to its farthest candidate (bitmask ``cands``,
         nonempty, without u) and the smallest candidate at that distance.
 
         Scans u's balls from the top: the first radius r whose inner ball
-        misses a candidate is the distance. Candidates outside u's
-        component are at distance ``far``.
+        misses a candidate is the distance. The graph stays connected, so
+        u's top ball holds every candidate.
         """
         bu = balls[u]
         r = len(bu) - 1
-        out = cands & ~bu[r]
-        if out:
-            return far, (out & -out).bit_length() - 1
         while True:
             out = cands & ~bu[r - 1]
             if out:

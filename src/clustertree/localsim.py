@@ -28,7 +28,7 @@ from operator import itemgetter
 from .builder import DoubledGraph
 from .errors import GirthTooLowError, NotATreeError, TooLargeError
 from .graph import Graph, RootedSubgraph, girth_at_least, k_hop_subgraph, members
-from .iso import canonical_form_rooted
+from .iso import canonical_form
 from .matching import bipartition, hopcroft_karp, koenig_cover
 
 VC = "vc"
@@ -341,7 +341,10 @@ def validate_solution(g: Graph, kind: str, solution) -> bool:
     n, adj = g.n, g.adj
     mark = bytearray(n)
     if kind in NODE_KINDS:
-        nodes = list(solution)
+        try:
+            nodes = list(solution)
+        except TypeError:
+            return False
         # the type check comes first, so min and max compare only ints
         if nodes and not (
             set(map(type, nodes)) == {int} and min(nodes) >= 0 and max(nodes) < n
@@ -355,7 +358,11 @@ def validate_solution(g: Graph, kind: str, solution) -> bool:
             return False
         return _dominates(adj, mark)
     if kind in EDGE_KINDS:
-        for e in solution:
+        try:
+            edges = iter(solution)
+        except TypeError:
+            return False
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -673,42 +680,24 @@ class EdgeIndistReport:
 def _edge_view_canon(g: Graph, v: int, w: int, k: int) -> tuple[str, str]:
     """Canonical forms of the two halves of the union view of edge {v, w}.
 
-    The union of the two k-hop views, with the edge {v, w} removed,
-    splits into the component of v and the component of w (both trees
-    when the girth premise holds); each half is canonized rooted at its
-    endpoint. A cycle through {v, w} of length at most 2k+1 joins the
-    halves, so a host graph that is not bipartite needs girth at least
-    2k+2; a bipartite one has no odd cycles, and girth 2k+1 suffices.
+    The halves are the k-hop views of v and w in the graph without the
+    edge {v, w} (both trees when the girth premise holds), each canonized
+    rooted at its endpoint. A cycle through {v, w} of length at most
+    2k+1 makes the two views meet, so a host graph that is not bipartite
+    needs girth at least 2k+2; a bipartite one has no odd cycles, and
+    girth 2k+1 suffices.
     """
-    # host node -> its neighbours in either view, less the edge {v, w}
-    adj: dict[int, set[int]] = {}
-    for sub in (k_hop_subgraph(g, v, k), k_hop_subgraph(g, w, k)):
-        nodes = sub.nodes
-        for i, nbrs in enumerate(sub.graph.adj):
-            adj.setdefault(nodes[i], set()).update(nodes[j] for j in nbrs)
-    adj[v].discard(w)
-    adj[w].discard(v)
-
-    def half(root: int, forbidden: int) -> str:
-        index = {root: 0}
-        order = [root]
-        for u in order:
-            for x in adj[u]:
-                if x not in index:
-                    index[x] = len(order)
-                    order.append(x)
-        if forbidden in index:
-            raise NotATreeError(
-                "union view does not split at the shared edge; girth too low"
-            )
-        # a component keeps every neighbour of its nodes, and the sets
-        # make the lists simple and symmetric
-        local = Graph(
-            len(order), [tuple(sorted(index[x] for x in adj[u])) for u in order]
+    # dropping v and w from each other's rows keeps every row sorted
+    rows = list(g.adj)
+    rows[v] = tuple(x for x in rows[v] if x != w)
+    rows[w] = tuple(x for x in rows[w] if x != v)
+    cut = Graph(g.n, rows)
+    half_v, half_w = k_hop_subgraph(cut, v, k), k_hop_subgraph(cut, w, k)
+    if not set(half_v.nodes).isdisjoint(half_w.nodes):
+        raise NotATreeError(
+            "union view does not split at the shared edge; girth too low"
         )
-        return canonical_form_rooted(local, 0)
-
-    return half(v, w), half(w, v)
+    return canonical_form(half_v), canonical_form(half_w)
 
 
 def edge_indistinguishability_check(

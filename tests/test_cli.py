@@ -604,8 +604,6 @@ def _with_edge(doc, entry):
         ("verify-iso",
          lambda d: {**d, "clusters": [c if c != 1 else 0 for c in d["clusters"]]},
          [], 2),
-        # 32 bytes that declare 10^9 nodes: refused before any row exists
-        ("simulate", lambda d: {"n": 1_000_000_000, "edges": []}, [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -630,7 +628,6 @@ def _with_edge(doc, entry):
         "export-dot-k-beyond-clusters",
         "verify-iso-no-clusters",
         "verify-iso-no-cluster-1",
-        "simulate-n-past-its-edges",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(

@@ -246,6 +246,15 @@ def test_validate_node_kinds_never_raise_on_mixed_entries():
         assert validate_solution(g, kind, set(nodes)) is True
 
 
+def test_validate_is_false_for_a_solution_that_is_not_iterable():
+    for kind in localsim.KINDS:
+        for bad in (None, 5):
+            assert validate_solution(P4, kind, bad) is False
+    # an unknown kind is a caller's error, whatever the solution
+    with pytest.raises(ValueError, match="unknown solution kind"):
+        validate_solution(P4, "vertex-cover", None)
+
+
 def test_validate_mm_endpoints_cover():
     mm = greedy_maximal_matching(P4)
     endpoints = sorted({x for e in mm for x in e})

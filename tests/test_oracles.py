@@ -1,8 +1,9 @@
 """networkx as an independent oracle for the girth sweep, the
 covering-map check, the common lift, bipartite matching, the high-girth
 generator, rooted-tree canonical forms, the coupled walk at radius 2 and
-the exact small-instance solvers; and the coupled walk's tree test
-against the up-front view check it replaced."""
+the exact small-instance solvers; the coupled walk's tree test against
+the up-front view check it replaced; and the edge-view halves against
+the union-view split they replaced."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import pytest
 from conftest import make_random_graph
 
 from clustertree import iso as iso_module
-from clustertree.errors import GirthTooLowError
+from clustertree.errors import GirthTooLowError, NotATreeError
 from clustertree.graph import Graph, girth, girth_at_least, k_hop_subgraph, line_graph
 from clustertree.iso import (
     canonical_form_rooted,
@@ -32,7 +33,14 @@ from clustertree.lifts import (
     verify_covering_map,
 )
 from clustertree.matching import hopcroft_karp
-from clustertree.localsim import DS, MAXM, VC, exact_small, validate_solution
+from clustertree.localsim import (
+    DS,
+    MAXM,
+    VC,
+    _edge_view_canon,
+    exact_small,
+    validate_solution,
+)
 from clustertree.skeleton import CTGraph, build_skeleton
 
 nx = pytest.importorskip("networkx")
@@ -343,6 +351,70 @@ def test_canonical_form_matches_by_depth_reference_on_view_trees():
     for c in skel.clusters:
         tree, _ = unfold_view_tree(skel, c.id, 2)
         assert canonical_form_rooted(tree, 0) == reference_canonical_form_rooted(tree, 0)
+
+
+def reference_edge_view_canon(g: Graph, v: int, w: int, k: int) -> tuple[str, str]:
+    """Oracle: _edge_view_canon as it was, merging the two k-hop views
+    into host-node neighbour sets less the edge {v, w} and splitting the
+    union by a BFS from each endpoint."""
+    adj: dict[int, set[int]] = {}
+    for sub in (k_hop_subgraph(g, v, k), k_hop_subgraph(g, w, k)):
+        nodes = sub.nodes
+        for i, nbrs in enumerate(sub.graph.adj):
+            adj.setdefault(nodes[i], set()).update(nodes[j] for j in nbrs)
+    adj[v].discard(w)
+    adj[w].discard(v)
+
+    def half(root: int, forbidden: int) -> str:
+        index = {root: 0}
+        order = [root]
+        for u in order:
+            for x in adj[u]:
+                if x not in index:
+                    index[x] = len(order)
+                    order.append(x)
+        if forbidden in index:
+            raise NotATreeError(
+                "union view does not split at the shared edge; girth too low"
+            )
+        local = Graph(
+            len(order), [tuple(sorted(index[x] for x in adj[u])) for u in order]
+        )
+        return canonical_form_rooted(local, 0)
+
+    return half(v, w), half(w, v)
+
+
+def _edge_view_outcome(canon, g: Graph, v: int, w: int, k: int):
+    try:
+        return canon(g, v, w, k)
+    except NotATreeError as exc:
+        return "raised", str(exc)
+
+
+def test_edge_view_canon_matches_union_reference():
+    # seeded random graphs of every density, plus the two high-girth
+    # graphs of the radius-two test, over sampled edges and k = 0..4
+    rng = random.Random(24)
+    graphs = [high_girth_regular(3, 5, 30), high_girth_regular(3, 6, 62)]
+    for _ in range(120):
+        n = rng.randrange(2, 31)
+        graphs.append(make_random_graph(rng, n, rng.uniform(1.0, 4.0) / n))
+    outcomes = {"pair": 0, "views meet": 0, "cyclic half": 0}
+    for g in graphs:
+        edges = g.edges()
+        for v, w in rng.sample(edges, min(4, len(edges))):
+            if rng.random() < 0.5:
+                v, w = w, v
+            for k in range(5):
+                got = _edge_view_outcome(_edge_view_canon, g, v, w, k)
+                assert got == _edge_view_outcome(reference_edge_view_canon, g, v, w, k)
+                if got[0] != "raised":
+                    outcomes["pair"] += 1
+                else:
+                    outcomes["views meet" if "split" in got[1] else "cyclic half"] += 1
+    # every outcome occurs often, so none is compared vacuously
+    assert min(outcomes.values()) >= 100
 
 
 def test_radius2_walk_verdict_matches_networkx(g26):
