@@ -221,18 +221,15 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
 
 
 def _shortest_cycle_sweep(
-    g: Graph, ceiling: int | None, floor: int = 3
-) -> int | None:
-    """Length of the shortest cycle strictly below ``ceiling``.
+    g: Graph, ceiling: int | float, floor: int = 3
+) -> int | float:
+    """Length of the shortest cycle strictly below ``ceiling``, else ``ceiling``.
 
     BFS from every node with the standard shortest-cycle-through-a-node
-    bound. With ``ceiling`` None the true girth is returned (None only if
-    acyclic); otherwise returns None when no cycle shorter than the
-    ceiling exists. ``floor`` is a known lower bound on the girth; the
-    sweep stops once it is reached.
+    bound; ``ceiling`` INFINITE gives the girth. ``floor`` is a known
+    lower bound on the girth; the sweep stops once it is reached.
     """
     best = ceiling
-    found = False
     dist = [-1] * g.n
     parent = [-1] * g.n
     in_tree = bytearray(g.n)  # nodes of components known to be acyclic
@@ -243,11 +240,12 @@ def _shortest_cycle_sweep(
         dist[s] = 0
         parent[s] = s
         queue = deque([s])
-        limit = None if best is None else (best + 1) // 2
+        # an int, or INFINITE: (INFINITE + 1) // 2 would be nan
+        limit = INFINITE if best == INFINITE else (best + 1) // 2
         while queue:
             u = queue.popleft()
             du = dist[u]
-            if limit is not None and du >= limit:
+            if du >= limit:
                 break
             for w in g.adj[u]:
                 if dist[w] == -1:
@@ -258,20 +256,19 @@ def _shortest_cycle_sweep(
                 elif w != parent[u] and dist[w] >= du:
                     # non-tree edge closes a cycle through s
                     cand = du + dist[w] + 1
-                    if best is None or cand < best:
+                    if cand < best:
                         best = cand
-                        found = True
                         limit = (best + 1) // 2
         for u in touched:
             dist[u] = -1
             parent[u] = -1
-        if best is None:
+        if best == INFINITE:
             # an unbounded BFS met no non-tree edge: its component is a tree
             for u in touched:
                 in_tree[u] = 1
-        if found and best <= floor:
+        if best <= floor:
             break
-    return best if found else None
+    return best
 
 
 def girth(g: Graph) -> int | float:
@@ -283,8 +280,7 @@ def girth(g: Graph) -> int | float:
     per tree component.
     """
     floor = 4 if g.two_coloring() is not None else 3
-    hit = _shortest_cycle_sweep(g, None, floor=floor)
-    return INFINITE if hit is None else hit
+    return _shortest_cycle_sweep(g, INFINITE, floor=floor)
 
 
 def girth_at_least(g: Graph, bound: int) -> bool:
@@ -302,7 +298,7 @@ def girth_at_least(g: Graph, bound: int) -> bool:
         if bound <= 4:
             return True
         floor = 4
-    return _shortest_cycle_sweep(g, bound, floor=floor) is None
+    return _shortest_cycle_sweep(g, bound, floor=floor) >= bound
 
 
 def line_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:

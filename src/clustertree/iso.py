@@ -147,16 +147,12 @@ def _walk(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
         diffs = [len(nv[i]) - len(nw[i]) for i in range(width)]
         if all(d == 0 for d in diffs):
             return False
-        over = [i for i, d in enumerate(diffs) if d == 1]
-        under = [i for i, d in enumerate(diffs) if d == -1]
-        if len(over) != 1 or len(under) != 1 or any(
-            d not in (-1, 0, 1) for d in diffs
-        ):
+        if sorted(d for d in diffs if d) != [-1, 1]:
             raise PairingFailureError(
                 f"bucket lengths {[len(b) for b in nv]} vs "
                 f"{[len(b) for b in nw]} admit no single repair"
             )
-        assign(nv[over[0]][-1], nw[under[0]][-1])
+        assign(nv[diffs.index(1)][-1], nw[diffs.index(-1)][-1])
         return True
 
     def classify(hv: int, hw: int, cv_id: int, cw_id: int, d: int) -> int:

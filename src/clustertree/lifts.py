@@ -79,7 +79,7 @@ def matching_decomposition(g: Graph) -> list[list[tuple[int, int]]]:
     it; the residual graph stays regular bipartite, so Hall's condition
     keeps holding. Returns degree-many matchings of sorted edge pairs.
     """
-    left, _ = bipartition(g)
+    left = bipartition(g)
     degs = {len(nbrs) for nbrs in g.adj}
     if len(degs) > 1:
         raise NotRegularError(f"degrees {sorted(degs)} are not uniform")

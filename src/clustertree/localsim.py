@@ -379,7 +379,7 @@ def validate_solution(g: Graph, kind: str, solution) -> bool:
 
 def exact_mvc_bipartite(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact minimum vertex cover of a bipartite graph via matching."""
-    left, _right = bipartition(g)
+    left = bipartition(g)
     mate = hopcroft_karp(g, left)
     cover = koenig_cover(g, left, mate)
     assert len(cover) == len(mate) // 2
@@ -485,7 +485,7 @@ def exact_small(g: Graph, kind: str) -> int:
     augmenting paths on bipartite graphs and is limited otherwise.
     """
     if kind == MAXM and g.two_coloring() is not None:
-        left, _ = bipartition(g)
+        left = bipartition(g)
         return len(hopcroft_karp(g, left)) // 2
     if g.n > _EXACT_LIMIT:
         raise TooLargeError(f"{g.n} nodes exceeds the exact limit")

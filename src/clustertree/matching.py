@@ -77,14 +77,12 @@ def hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
     return mate
 
 
-def bipartition(g: Graph) -> tuple[list[int], list[int]]:
-    """Split nodes into the two color classes; raises if not bipartite."""
+def bipartition(g: Graph) -> list[int]:
+    """The nodes of color class 0; raises if not bipartite."""
     colors = g.two_coloring()
     if colors is None:
         raise NotBipartiteError("graph contains an odd cycle")
-    left = [v for v in range(g.n) if colors[v] == 0]
-    right = [v for v in range(g.n) if colors[v] == 1]
-    return left, right
+    return [v for v in range(g.n) if colors[v] == 0]
 
 
 def koenig_cover(g: Graph, left: list[int], mate: dict[int, int]) -> list[int]:

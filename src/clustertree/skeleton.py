@@ -114,7 +114,9 @@ def build_skeleton(k: int, beta: int) -> ClusterTreeSkeleton:
     leaf_q = {2: 2, 3: 1}
 
     for r in range(2, k + 1):
-        new_specs: list[tuple[int, int]] = []  # (parent id, exp_a)
+        # (parent id, exp_a), made in ascending order: cids ascend, and
+        # so do the exponents of each cid
+        new_specs: list[tuple[int, int]] = []
         n_before = len(levels)
         for cid in range(n_before):
             if cid in leaf_q:
@@ -124,7 +126,6 @@ def build_skeleton(k: int, beta: int) -> ClusterTreeSkeleton:
                         new_specs.append((cid, p))
             else:
                 new_specs.append((cid, r))
-        new_specs.sort()
         new_leaf_q: dict[int, int] = {}
         for parent, exp_a in new_specs:
             cid = len(levels)

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 from collections import Counter
 
-from clustertree.builder import build_matching_double
-from clustertree.graph import girth
+from clustertree.builder import build_low_girth, build_matching_double
+from clustertree.cli import dispatch
+from clustertree.graph import girth, read_graph_json
 from clustertree.localsim import MAXM, exact_small
-from clustertree.skeleton import predicted_sizes, validate_ct_graph
+from clustertree.skeleton import (
+    CTGraph,
+    build_skeleton,
+    predicted_sizes,
+    validate_ct_graph,
+)
 
 
 def test_low_girth_1_4_exact_shape(g14):
@@ -47,6 +53,22 @@ def test_low_girth_matches_prediction(g26):
     assert g26.graph.n == predicted_sizes(2, 6).n
     assert g26.graph.max_degree() == predicted_sizes(2, 6).max_degree
     assert validate_ct_graph(g26).ok
+
+
+def test_built_graphs_are_ct_graphs(g16, g26, tmp_path):
+    # `build` writes what build_low_girth returns without validating it
+    # again; the validator checks every (k, beta) the commands and the
+    # bench build here instead
+    built = [build_low_girth(1, beta) for beta in range(4, 13)] + [g16, g26]
+    for ct in built:
+        assert validate_ct_graph(ct).ok, (ct.skeleton.k, ct.skeleton.beta)
+    for k, beta in ((1, 5), (1, 16)):
+        out = tmp_path / f"ct-{k}-{beta}.json"
+        args = ["build", "--k", str(k), "--beta", str(beta), "--out", str(out)]
+        assert dispatch(args) == 0
+        gf = read_graph_json(str(out))
+        ct = CTGraph(gf.graph, build_skeleton(k, beta), gf.clusters)
+        assert validate_ct_graph(ct).ok, (k, beta)
 
 
 def test_low_girth_bipartite_by_level_parity(g14, g26):

@@ -7,9 +7,13 @@ commands run in order as ``python -m clustertree`` with
 ``PYTHONPATH=SRC_DIR``, in one temporary directory, so a later command
 reads what an earlier one wrote. For each command the script prints one
 ``sha256  label`` line each for its stdout, its stderr and its exit
-code, then one for every file the command wrote or changed. Two source
-trees give byte-identical outputs on these commands iff two runs print
-the same lines:
+code, then one for every file the command wrote or changed. A command
+with ``--all-pairs-sample`` runs through a wrapper that calls the same
+``dispatch`` with the same arguments and also writes the ``(v0, v1)``
+pair of every ``find_isomorphism`` call to ``LABEL.pairs.json``, so the
+listing shows which pairs were sampled, which the report does not say.
+Two source trees give byte-identical outputs on these commands iff two
+runs print the same lines:
 
     python tools/golden.py old/src > old.txt
     python tools/golden.py src > new.txt
@@ -72,6 +76,24 @@ COMMANDS: list[tuple[str, list[str]]] = [
 ]
 
 
+# python -c PAIRS_WRAPPER PAIRS_FILE ARGS...: `python -m clustertree ARGS...`
+# that also records each pair find_isomorphism is called on
+PAIRS_WRAPPER = """
+import json, sys
+import clustertree.cli, clustertree.iso
+pairs = []
+find = clustertree.iso.find_isomorphism
+def record(ct, k, v0, v1):
+    pairs.append((v0, v1))
+    return find(ct, k, v0, v1)
+clustertree.iso.find_isomorphism = record
+code = clustertree.cli.dispatch(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump(pairs, fh)
+sys.exit(code)
+"""
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -93,8 +115,11 @@ def main(argv: list[str]) -> int:
         root = Path(tmp)
         for label, args in COMMANDS:
             before = file_digests(root)
+            cmd = [sys.executable, "-m", "clustertree"]
+            if "--all-pairs-sample" in args:
+                cmd = [sys.executable, "-c", PAIRS_WRAPPER, f"{label}.pairs.json"]
             proc = subprocess.run(
-                [sys.executable, "-m", "clustertree", *args],
+                [*cmd, *args],
                 cwd=root, env=env, capture_output=True,
             )
             print(f"{sha256(proc.stdout)}  {label} stdout")
