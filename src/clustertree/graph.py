@@ -15,7 +15,7 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 # girth of an acyclic graph
@@ -128,22 +128,27 @@ class Graph:
         """A proper 2-coloring (0/1 per node), or None if not bipartite.
 
         Each component is colored with its smallest node as color 0.
+        Colors by BFS layers: a layer's next layer is the union of its
+        rows minus the layer before, and every node of layer r gets r's
+        parity. Each edge joins consecutive layers or one layer to
+        itself, and an edge inside a layer closes an odd cycle.
         """
+        row = self.adj.__getitem__
         color: list[int] = [-1] * self.n
         for s in range(self.n):
             if color[s] != -1:
                 continue
-            color[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                cu = color[u]
-                for w in self.adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - cu
-                        queue.append(w)
-                    elif color[w] == cu:
-                        return None
+            before: set[int] = set()
+            layer = {s}
+            c = 0
+            while layer:
+                for u in layer:
+                    color[u] = c
+                reach = set().union(*map(row, layer))
+                if not reach.isdisjoint(layer):
+                    return None
+                before, layer = layer, reach - before
+                c ^= 1
         return color
 
 
@@ -332,6 +337,12 @@ class GraphFile:
     meta: dict | None
 
 
+def _one_per_node(clusters: Sequence[int], n: int) -> Sequence[int]:
+    if len(clusters) != n:
+        raise ValueError("clusters array must have one entry per node")
+    return clusters
+
+
 def graph_to_json_dict(
     g: Graph,
     clusters: Iterable[int] | None = None,
@@ -340,10 +351,7 @@ def graph_to_json_dict(
     # json writes the (u, v) tuples as [u, v] arrays
     doc: dict = {"n": g.n, "edges": g.edges()}
     if clusters is not None:
-        clusters = list(clusters)
-        if len(clusters) != g.n:
-            raise ValueError("clusters array must have one entry per node")
-        doc["clusters"] = clusters
+        doc["clusters"] = _one_per_node(list(clusters), g.n)
     if meta is not None:
         doc["meta"] = meta
     return doc
@@ -403,28 +411,33 @@ def graph_from_json_dict(doc) -> GraphFile:
 def write_graph_json(
     path: str,
     g: Graph,
-    clusters: Iterable[int] | None = None,
+    clusters: Sequence[int] | None = None,
     meta: dict | None = None,
 ) -> None:
     """Write ``json.dumps(graph_to_json_dict(g, clusters, meta))`` and a
-    newline, writing the edges of 4,096 nodes at a time.
+    newline, 512 nodes at a time: the edges of 512 nodes per write, then
+    512 cluster entries per write, so the writer never holds the edge
+    list, a copy of ``clusters`` or the whole text.
 
     Relies on ``Graph``'s sorted rows: the edges (u, v) with u < v are
     the tail of u's row after ``bisect_right(row, u)``, already in
-    order, and ``str`` of an int is the text json writes for it.
+    order, and ``str`` of an int is the text json writes for it. A
+    block of clusters is written as ``json.dumps`` of the block without
+    its brackets, the text the whole array has for that stretch. The
+    length of ``clusters`` is checked, and ``meta`` encoded, before the
+    file is opened.
     """
-    # the document of an edgeless graph of the same order; its "edges"
-    # follows "n", before clusters and meta, so the first match is its own
-    edgeless = Graph(g.n, [()] * g.n)
-    text = json.dumps(graph_to_json_dict(edgeless, clusters, meta))
-    head, tail = text.split('"edges": []', 1)
+    n = g.n
+    if clusters is not None:
+        _one_per_node(clusters, n)
+    tail = "}\n" if meta is None else f', "meta": {json.dumps(meta)}}}\n'
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + '"edges": [')
+        fh.write(f'{{"n": {n}, "edges": [')
         sep = ""
-        for lo in range(0, g.n, 4096):
+        for lo in range(0, n, 512):
             # one string per node: "[u, a], [u, b]" for its row's tail a, b
             pieces = []
-            for u in range(lo, min(lo + 4096, g.n)):
+            for u in range(lo, min(lo + 512, n)):
                 row = g.adj[u]
                 i = bisect_right(row, u)
                 if i < len(row):
@@ -434,7 +447,15 @@ def write_graph_json(
                 fh.write(sep)
                 fh.write(", ".join(pieces))
                 sep = ", "
-        fh.write("]" + tail + "\n")
+        fh.write("]")
+        if clusters is not None:
+            fh.write(', "clusters": [')
+            for lo in range(0, n, 512):
+                if lo:
+                    fh.write(", ")
+                fh.write(json.dumps(clusters[lo:lo + 512])[1:-1])
+            fh.write("]")
+        fh.write(tail)
 
 
 def load_json(path: str):

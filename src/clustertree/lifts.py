@@ -365,7 +365,9 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     Distances are kept, not recomputed: ``balls[u][r]`` is the bitmask
     of the nodes within r hops of u, for r up to u's eccentricity, built
     once by bitmask BFS. The farthest candidate of u is read off the
-    first ball, from the top, that misses a candidate. Adding an edge
+    first ball, from the top, that misses a candidate; the scan for the
+    best pair walks u's balls only down to the best distance found so
+    far, and skips u if its top ball is no farther. Adding an edge
     only shortens distances, so a link patches just the balls of the
     nodes that are at least two hops nearer to one end than to the
     other. Removing an edge can lengthen distances, so after a swap
@@ -460,22 +462,6 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
         bu = balls[u]
         return bu[min(radius, len(bu) - 1)]
 
-    def farthest(u: int, cands: int) -> tuple[int, int]:
-        """Distance from u to its farthest candidate (bitmask ``cands``,
-        nonempty, without u) and the smallest candidate at that distance.
-
-        Scans u's balls from the top: the first radius r whose inner ball
-        misses a candidate is the distance. The graph stays connected, so
-        u's top ball holds every candidate.
-        """
-        bu = balls[u]
-        r = len(bu) - 1
-        while True:
-            out = cands & ~bu[r - 1]
-            if out:
-                return r, (out & -out).bit_length() - 1
-            r -= 1
-
     for target in range(3, delta + 1):
         ops = 0
         cap = 4 * m + 16
@@ -500,13 +486,23 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
                 above |= 1 << v
             for u in deficient:
                 above ^= 1 << u
+                bu = balls[u]
+                # u's candidates lie in its top ball: no pair of u can
+                # beat best_dist if that ball's radius does not
+                if len(bu) - 1 <= best_dist:
+                    continue
                 cands = above & ~mask[u]
                 if not cands:
                     continue
-                d, v = farthest(u, cands)
-                if d > best_dist:
-                    best_dist = d
-                    best_pair = (u, v)
+                # the distance to u's farthest candidate is the first r,
+                # from the top, whose inner ball misses a candidate; no r
+                # at or below best_dist can win, so the walk stops there
+                for r in range(len(bu) - 1, best_dist, -1):
+                    out = cands & ~bu[r - 1]
+                    if out:
+                        best_dist = r
+                        best_pair = (u, (out & -out).bit_length() - 1)
+                        break
             if best_pair is not None and best_dist >= girth_target - 1:
                 link_far(*best_pair)
                 continue

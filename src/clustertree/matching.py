@@ -11,8 +11,6 @@ from collections import deque
 from .errors import NotBipartiteError
 from .graph import Graph
 
-_INF = float("inf")
-
 
 def hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
     """Maximum matching of a bipartite graph.
@@ -20,61 +18,69 @@ def hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
     ``left`` is one side of a bipartition (every edge of ``g`` must have
     exactly one endpoint in it). Returns the matching as a node -> mate
     map containing both directions.
+
+    ``mate`` and ``dist`` are flat per-node lists; -1 stands for no mate,
+    and for a left node outside the current BFS layers or found to be a
+    dead end. Each phase is one BFS from the unmatched left nodes, then
+    one augmenting search from each of them in ``left``'s order.
     """
-    mate: dict[int, int] = {}
-    dist: dict[int, float] = {}
+    adj = g.adj
+    mate = [-1] * g.n
+    dist = [-1] * g.n
 
     def bfs() -> bool:
-        queue = deque()
+        queue = []
         for u in left:
-            if u not in mate:
+            if mate[u] < 0:
                 dist[u] = 0
                 queue.append(u)
             else:
-                dist[u] = _INF
+                dist[u] = -1
         found = False
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                nxt = mate.get(w)
-                if nxt is None:
+        # iterating a list that grows reads it as a FIFO queue
+        for u in queue:
+            du = dist[u] + 1
+            for w in adj[u]:
+                nxt = mate[w]
+                if nxt < 0:
                     found = True
-                elif dist[nxt] == _INF:
-                    dist[nxt] = dist[u] + 1
+                elif dist[nxt] < 0:
+                    dist[nxt] = du
                     queue.append(nxt)
         return found
 
     def augment(root: int) -> None:
         # depth-first search for an augmenting path along the BFS layers,
         # with an explicit stack; path[i] is the mate tried at stack[i]
-        stack = [(root, iter(g.adj[root]))]
+        stack = [(root, iter(adj[root]))]
         path: list[int] = []
         while stack:
             u, nbrs = stack[-1]
+            du = dist[u] + 1
             for w in nbrs:
-                nxt = mate.get(w)
-                if nxt is None:
+                nxt = mate[w]
+                if nxt < 0:
                     path.append(w)
                     # flip the path, deepest pair first
                     for (x, _), y in zip(reversed(stack), reversed(path)):
                         mate[x] = y
                         mate[y] = x
                     return
-                if dist[nxt] == dist[u] + 1:
+                if dist[nxt] == du:
                     path.append(w)
-                    stack.append((nxt, iter(g.adj[nxt])))
+                    stack.append((nxt, iter(adj[nxt])))
                     break
             else:
-                dist[u] = _INF
+                dist[u] = -1
                 stack.pop()
                 if path:
                     path.pop()
 
     while bfs():
         for u in left:
-            if u not in mate:
+            if mate[u] < 0:
                 augment(u)
-    return mate
+    return {v: w for v, w in enumerate(mate) if w >= 0}
 
 
 def bipartition(g: Graph) -> list[int]:

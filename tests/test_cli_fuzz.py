@@ -105,7 +105,7 @@ def edge_list_document(g: Graph, clusters, meta) -> str:
 
 
 # write_graph_json encodes the edges of this many nodes at a time
-BLOCK = 4096
+BLOCK = 512
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
@@ -139,7 +139,10 @@ BLOCK = 4096
 ))
 # clusters, and meta that holds the text the writer splits at
 @hypothesis.example(case=(
-    Graph.from_edges(2 * BLOCK + 1, [(0, 2 * BLOCK), (BLOCK - 1, BLOCK), (5000, 8000)]),
+    Graph.from_edges(
+        2 * BLOCK + 1,
+        [(0, 2 * BLOCK), (BLOCK - 1, BLOCK), (BLOCK + 100, 2 * BLOCK - 100)],
+    ),
     [v % 3 for v in range(2 * BLOCK + 1)],
     {"note": '"edges": []', "edges": []},
 ))
@@ -181,6 +184,21 @@ def test_pipeline_json_write_peak(tmp_path, pipeline14):
         tracemalloc.stop()
     assert path.stat().st_size > 1_000_000
     assert peak < 4_000_000
+
+
+def test_pipeline_json_write_peak_under_one_megabyte(tmp_path, pipeline14):
+    # the writer holds one block's text at a time, with no copy of
+    # clusters and no edgeless document: near 0.4 MB, where one text for
+    # the 25,600 cluster entries and 4,096-node edge blocks reached 2.6 MB
+    ct, meta = pipeline14
+    path = tmp_path / "l14.json"
+    tracemalloc.start()
+    try:
+        write_graph_json(str(path), ct.graph, ct.cluster_of, meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_pipeline_json_read_peak(tmp_path, pipeline14):

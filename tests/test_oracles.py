@@ -2,19 +2,23 @@
 covering-map check, the common lift, bipartite matching, the high-girth
 generator, rooted-tree canonical forms, the coupled walk at radius 2 and
 the exact small-instance solvers; the coupled walk's tree test against
-the up-front view check it replaced; and the edge-view halves against
-the union-view split they replaced."""
+the up-front view check it replaced; the edge-view halves against the
+union-view split they replaced; and Hopcroft-Karp and the two-colouring
+against the dict and queue versions they replaced."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from collections import deque
 
 import pytest
 from conftest import make_random_graph
 
 from clustertree import iso as iso_module
+from clustertree import lifts as lifts_module
+from clustertree.builder import build_low_girth
 from clustertree.errors import GirthTooLowError, NotATreeError
 from clustertree.graph import Graph, girth, girth_at_least, k_hop_subgraph, line_graph
 from clustertree.iso import (
@@ -26,10 +30,12 @@ from clustertree.iso import (
 from clustertree.lifts import (
     CoveringMap,
     VoltageLift,
+    build_high_girth_ct,
     canonical_double_cover,
     common_lift,
     high_girth_regular,
     matching_decomposition,
+    regular_supergraph,
     verify_covering_map,
 )
 from clustertree.matching import hopcroft_karp
@@ -219,6 +225,170 @@ def test_matching_decomposition_partitions_edges():
         assert len(ms) == d
         assert all(sorted(x for e in m for x in e) == list(range(g.n)) for m in ms)
         assert sorted(e for m in ms for e in m) == g.edges()
+
+
+def reference_hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
+    """The dict-and-``float("inf")`` Hopcroft-Karp that the flat-list one
+    replaced: the same phases, BFS and augmenting search."""
+    inf = float("inf")
+    mate: dict[int, int] = {}
+    dist: dict[int, float] = {}
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in left:
+            if u not in mate:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = inf
+        found = False
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                nxt = mate.get(w)
+                if nxt is None:
+                    found = True
+                elif dist[nxt] == inf:
+                    dist[nxt] = dist[u] + 1
+                    queue.append(nxt)
+        return found
+
+    def augment(root: int) -> None:
+        stack = [(root, iter(g.adj[root]))]
+        path: list[int] = []
+        while stack:
+            u, nbrs = stack[-1]
+            for w in nbrs:
+                nxt = mate.get(w)
+                if nxt is None:
+                    path.append(w)
+                    for (x, _), y in zip(reversed(stack), reversed(path)):
+                        mate[x] = y
+                        mate[y] = x
+                    return
+                if dist[nxt] == dist[u] + 1:
+                    path.append(w)
+                    stack.append((nxt, iter(g.adj[nxt])))
+                    break
+            else:
+                dist[u] = inf
+                stack.pop()
+                if path:
+                    path.pop()
+
+    while bfs():
+        for u in left:
+            if u not in mate:
+                augment(u)
+    return mate
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A random bipartite graph with sides of 0..9 nodes each, relabelled,
+    and its left side in a drawn order."""
+    a, b = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(a) for v in range(a, a + b)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    perm = draw(st.permutations(range(a + b)))
+    g = Graph.from_edges(a + b, [(perm[u], perm[v]) for u, v in edges])
+    return g, draw(st.permutations(perm[:a]))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(case=bipartite_graphs())
+@hypothesis.example(case=(Graph(0, []), []))
+# unbalanced sides: a star's centre on the left, then its leaves
+@hypothesis.example(case=(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), [0]))
+@hypothesis.example(case=(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), [1, 2, 3]))
+def test_hopcroft_karp_matches_dict_reference(case):
+    g, left = case
+    assert hopcroft_karp(g, left) == reference_hopcroft_karp(g, left)
+
+
+def test_matching_decomposition_matches_dict_reference_on_pipeline_bases(
+    monkeypatch, high_girth_graphs
+):
+    # the (1,5) pipeline's two bipartite bases: its supergraph and its
+    # (25,3,50) generator output, each with the double cover it takes;
+    # the output bytes follow from these exact matchings
+    bases = [
+        canonical_double_cover(g)[0]
+        for g in (
+            regular_supergraph(build_low_girth(1, 5).graph),
+            high_girth_graphs[(25, 3, 50)],
+        )
+    ]
+    assert [b.n for b in bases] == [460, 200]
+    got = [matching_decomposition(b) for b in bases]
+    monkeypatch.setattr(lifts_module, "hopcroft_karp", reference_hopcroft_karp)
+    assert [matching_decomposition(b) for b in bases] == got
+
+
+def reference_two_coloring(g: Graph) -> list[int] | None:
+    """The queue BFS that the layered two-colouring replaced."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] != -1:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if color[w] == -1:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    return color
+
+
+@st.composite
+def component_unions(draw):
+    """Disjoint unions of up to five components of 1..9 nodes, relabelled:
+    single (isolated) nodes, cycles of odd and even length, random
+    bipartite graphs and random graphs."""
+    sizes = draw(st.lists(st.integers(1, 9), max_size=5))
+    edges = []
+    lo = 0
+    for size in sizes:
+        nodes = range(lo, lo + size)
+        kind = draw(st.sampled_from(("cycle", "bipartite", "any")))
+        if kind == "cycle" and size >= 3:
+            edges += [(nodes[i - 1], nodes[i]) for i in range(size)]
+        elif size >= 2:
+            pairs = [
+                (u, v)
+                for u, v in itertools.combinations(nodes, 2)
+                if kind == "any" or (u - v) % 2
+            ]
+            edges += draw(st.lists(st.sampled_from(pairs), unique=True))
+        lo += size
+    perm = draw(st.permutations(range(lo)))
+    return Graph.from_edges(lo, [(perm[u], perm[v]) for u, v in edges])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(g=component_unions())
+@hypothesis.example(g=Graph(0, []))
+@hypothesis.example(g=Graph(3, [(), (), ()]))
+# an even cycle, then an odd one whose smallest node comes first
+@hypothesis.example(
+    g=Graph.from_edges(9, [(1, 3), (3, 5), (5, 7), (7, 1), (0, 2), (2, 4), (4, 0)])
+)
+def test_two_coloring_matches_queue_bfs_and_networkx(g):
+    colors = g.two_coloring()
+    assert colors == reference_two_coloring(g)
+    assert (colors is not None) == nx.is_bipartite(to_nx(g))
+
+
+def test_two_coloring_matches_queue_bfs_on_pipeline_lift():
+    ct, _ = build_high_girth_ct(1, 4)
+    colors = ct.graph.two_coloring()
+    assert colors is not None
+    assert colors == reference_two_coloring(ct.graph)
 
 
 def replay_high_girth(delta: int, girth_target: int, m: int):
