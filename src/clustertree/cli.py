@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import random
 import sys
@@ -75,15 +74,7 @@ def _cmd_skeleton(args) -> int:
 
 def _cmd_build(args) -> int:
     k, beta, cap = args.k, args.beta, lifts.DEFAULT_SIZE_CAP
-    sk._require_beta(k, beta)
-    # the root cluster's n_0 nodes have 1 + beta + ... + beta^k edges
-    # each; n_0 = beta^(2k+1) >= 2^((2k+1)(b-1)), b the bit length of
-    # beta, refuses a huge n_0 before it is computed
-    too_many = (2 * k + 1) * (beta.bit_length() - 1) >= cap.bit_length()
-    if not too_many:
-        pred = sk.predicted_sizes(k, beta)
-        too_many = pred.n0 * ((pred.max_degree - 1) // (beta - 1)) > cap
-    if too_many:
+    if sk.root_edge_count(k, beta) > cap:
         raise ClusterTreeError(f"the ({k}, {beta}) graph has more than {cap} edges")
     ct = builder.build_low_girth(k, beta)
     if args.double:
@@ -99,8 +90,7 @@ def _cmd_build(args) -> int:
 def _cmd_predict(args) -> int:
     # n_0 = beta^(2k+1) and the sizes below it are printed in full; one of
     # over 10,000 digits (k = 2000: 14,400) takes seconds, so refuse it
-    sk._require_beta(args.k, args.beta)
-    digits = (2 * args.k + 1) * math.log10(args.beta)
+    digits = sk.n0_digits(args.k, args.beta)
     if digits > 10_000:
         raise ClusterTreeError(
             f"n_0 = beta^(2k+1) would have about {digits:,.0f} digits, "
@@ -166,9 +156,11 @@ def _cmd_lift(args) -> int:
         maps = ((args.map_out, cm),)
         what = f"double cover with {g.n} nodes"
     elif args.op == "common-lift":
-        g, cm1, cm2 = lifts.common_lift(
-            read_graph_json(args.graph).graph, read_graph_json(args.graph2).graph
-        )
+        h, h_prime = (read_graph_json(p).graph for p in (args.graph, args.graph2))
+        size = sk.common_lift_order(h, h_prime)
+        if size > args.size_cap:
+            raise SizeCapExceededError(size, args.size_cap)
+        g, cm1, cm2 = lifts.common_lift(h, h_prime)
         maps = ((args.map_out, cm1), (args.map2_out, cm2))
         what = f"common lift with {g.n} nodes"
     elif args.op == "supergraph":

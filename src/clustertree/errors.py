@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+SIZE_LIMIT = 10**4300  # past any argument or cap: ints are read to 4,300 digits
+
 
 class ClusterTreeError(Exception):
     """Base class for all errors raised by this package."""
@@ -33,13 +35,13 @@ class SizeCapExceededError(ClusterTreeError):
     """The estimated output size exceeds the configured cap.
 
     Carries ``estimate`` and ``cap`` so callers can decide what to do.
-    An estimate of more than 4,300 digits, or math.inf, is not written out.
+    An estimate from SIZE_LIMIT on, math.inf too, is not written out.
     """
 
     def __init__(self, estimate: int | float, cap: int):
         self.estimate = estimate
         self.cap = cap
-        shown = estimate if estimate < 10**4300 else "of 10^4300 or more"
+        shown = estimate if estimate < SIZE_LIMIT else "of 10^4300 or more"
         super().__init__(f"estimated output size {shown} exceeds cap {cap}")
 
 

@@ -36,7 +36,8 @@ from .errors import (
 )
 from .graph import DEFAULT_SIZE_CAP, Graph, girth, girth_at_least, members
 from .matching import bipartition, hopcroft_karp
-from .skeleton import ClusterTreeSkeleton, CTGraph, _require_beta, predicted_sizes
+from .skeleton import ClusterTreeSkeleton, CTGraph, _high_girth_min_m
+from .skeleton import estimate_pipeline_size
 
 
 @dataclass(frozen=True)
@@ -324,23 +325,6 @@ def regular_supergraph(g: Graph) -> Graph:
     return out
 
 
-def _high_girth_min_m(delta: int, girth_target: int) -> int | float:
-    """Smallest m (half the node count) that :func:`high_girth_regular`
-    accepts, or math.inf from 10^4300 on: no m or cap written in decimal
-    reaches that, and the whole sum can take minutes, so it stops there."""
-    limit = 10**4300
-    if delta == 2:
-        total = 2 * (girth_target - 1)
-    else:
-        total, term = 0, 2
-        for _ in range(girth_target - 1):
-            total += term
-            term *= delta - 1
-            if total >= limit:
-                break
-    return total if total < limit else math.inf
-
-
 def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     """A delta-regular graph on 2m nodes with girth at least girth_target.
 
@@ -533,26 +517,6 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     if not girth_at_least(out, girth_target):
         raise IterationLimitError("output girth fell below the target; bug")
     return out
-
-
-def estimate_pipeline_size(k: int, beta: int) -> int | float:
-    """Upper bound on the common-lift node count for (k, beta), or
-    math.inf when the CT graph or the generator's order alone reaches
-    10^4300. The CT graph's beta^(2k+1) nodes and more are at least
-    2^14285 > 10^4300 if (2k+1)(b-1) >= 14285, b being beta's bit length.
-
-    Both factors may need a double cover, hence the factor 4 on the
-    product of the supergraph bound and the minimal high-girth order.
-    """
-    _require_beta(k, beta)
-    if (2 * k + 1) * (beta.bit_length() - 1) >= 14_285:
-        return math.inf
-    pred = predicted_sizes(k, beta)
-    delta = pred.max_degree
-    min_m = _high_girth_min_m(delta, 2 * k + 1)
-    if min_m == math.inf:  # an int past 2^1024 times math.inf overflows
-        return math.inf
-    return 4 * (pred.n + 4 * delta) * (2 * min_m)
 
 
 def build_high_girth_ct(

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import SIZE_LIMIT
 from .graph import Graph, load_json
 
 INTERNAL = "internal"
@@ -216,19 +217,71 @@ def predicted_sizes(k: int, beta: int) -> SizePrediction:
     n0 = beta ** (2 * k + 1)
     level_sizes = tuple(beta ** (2 * k - l + 1) for l in range(k + 2))
     n = sum(cluster_count(k, l) * level_sizes[l] for l in range(k + 2))
-    delta = beta ** (k + 1)
-    total_bound_ok = n * (beta - (k + 1)) < n0 * beta
-    excess_bound_ok = (n - n0) * beta < n0 * 2 * (k + 1)
     return SizePrediction(
         k=k,
         beta=beta,
         n0=n0,
         level_sizes=level_sizes,
         n=n,
-        max_degree=delta,
-        total_bound_ok=total_bound_ok,
-        excess_bound_ok=excess_bound_ok,
+        max_degree=beta ** (k + 1),
+        total_bound_ok=n * (beta - (k + 1)) < n0 * beta,
+        excess_bound_ok=(n - n0) * beta < n0 * 2 * (k + 1),
     )
+
+
+def _power_passes(base: int, exp: int, bound: int) -> bool:
+    """Whether bit lengths alone show base^exp > bound: base^exp >=
+    2^(exp (b-1)), b being base's bit length. Every early-out asks this."""
+    return exp * (base.bit_length() - 1) >= bound.bit_length()
+
+
+def n0_digits(k: int, beta: int) -> float:
+    """About how many decimal digits n_0 = beta^(2k+1) has."""
+    _require_beta(k, beta)
+    return (2 * k + 1) * math.log10(beta)
+
+
+def root_edge_count(k: int, beta: int) -> int | float:
+    """Edges at the root cluster, a lower bound on the CT graph's edges:
+    the root is an independent set of n_0 nodes with 1 + beta + ... +
+    beta^k edges each. math.inf when n_0 alone passes SIZE_LIMIT."""
+    _require_beta(k, beta)
+    if _power_passes(beta, 2 * k + 1, SIZE_LIMIT):
+        return math.inf
+    return beta ** (2 * k + 1) * ((beta ** (k + 1) - 1) // (beta - 1))
+
+
+def _high_girth_min_m(delta: int, girth_target: int) -> int | float:
+    """Smallest m (half the order) that ``lifts.high_girth_regular``
+    accepts: 2 (1 + d + ... + d^(g-2)) for d = delta - 1, g = girth_target,
+    or math.inf from SIZE_LIMIT on, which the last term settles alone."""
+    d, g = delta - 1, girth_target
+    if _power_passes(d, g - 2, SIZE_LIMIT):
+        return math.inf
+    total = 2 * ((d ** (g - 1) - 1) // (d - 1) if d > 1 else g - 1)
+    return total if total < SIZE_LIMIT else math.inf
+
+
+def estimate_pipeline_size(k: int, beta: int) -> int | float:
+    """Upper bound on the common-lift node count for (k, beta), or
+    math.inf once n_0 or the generator's order reaches SIZE_LIMIT: twice
+    the supergraph bound times twice the generator's order (double covers)."""
+    _require_beta(k, beta)
+    if _power_passes(beta, 2 * k + 1, SIZE_LIMIT):
+        return math.inf
+    pred = predicted_sizes(k, beta)
+    min_m = _high_girth_min_m(pred.max_degree, 2 * k + 1)
+    if min_m == math.inf:  # an int past 2^1024 times math.inf overflows
+        return math.inf
+    return 4 * (pred.n + 4 * pred.max_degree) * (2 * min_m)
+
+
+def common_lift_order(h: Graph, h_prime: Graph) -> int:
+    """Node count of ``lifts.common_lift(h, h_prime)``: the product of the
+    bipartite bases' orders, each graph's own or, if it is not bipartite,
+    twice that for its double cover."""
+    n1, n2 = (g.n if g.two_coloring() is not None else 2 * g.n for g in (h, h_prime))
+    return n1 * n2
 
 
 # ---------------------------------------------------------------------------

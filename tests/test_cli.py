@@ -465,6 +465,35 @@ def test_size_refusals_end_at_once_under_a_memory_limit(tmp_path, argv, code, me
     assert not (tmp_path / "x.out").exists()
 
 
+def test_common_lift_refuses_past_the_cap_under_a_memory_limit(tmp_path):
+    # two 20,000-node Moebius ladders: 3-regular and not bipartite, so
+    # each is doubled and the lift would have 40,000 x 40,000 nodes;
+    # unguarded, it runs out of memory while it builds the rows
+    n = 20_000
+    edges = [[v, v + 1] for v in range(n - 1)] + [[0, n - 1]]
+    edges += [[v, v + n // 2] for v in range(n // 2)]
+    (tmp_path / "m.json").write_text(json.dumps({"n": n, "edges": edges}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustertree", "lift", "--op", "common-lift",
+         "--graph", "m.json", "--graph2", "m.json", "--out", "x.out"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        preexec_fn=limit_memory,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: estimated output size 1600000000 exceeds cap 5000000\n"
+    )
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_export_dot_doubled_graph(tmp_path):
     gpath = tmp_path / "d.json"
     run(["build", "--k", "1", "--beta", "4", "--double", "--out", str(gpath)])

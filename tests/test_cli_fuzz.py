@@ -137,7 +137,7 @@ BLOCK = 512
 @hypothesis.example(case=(
     Graph.from_edges(5, [(0, 1), (1, 2), (1, 4), (3, 4)]), None, None
 ))
-# clusters, and meta that holds the text the writer splits at
+# clusters, and meta that holds the text of an empty edge list
 @hypothesis.example(case=(
     Graph.from_edges(
         2 * BLOCK + 1,
@@ -155,7 +155,7 @@ def test_graph_json_bytes_match_edge_list_document(tmp_path_factory, case):
 
 @pytest.fixture(scope="module")
 def pipeline14():
-    """The (1,4) pipeline output: 25,600 nodes, seven blocks, all with
+    """The (1,4) pipeline output: 25,600 nodes, 50 blocks, all with
     edges, and the meta the CLI writes with it."""
     ct, _ = build_high_girth_ct(1, 4)
     return ct, {"k": 1, "beta": 4, "stage": "high-girth"}
@@ -172,7 +172,7 @@ def test_pipeline_json_bytes_match_edge_list_document(tmp_path, pipeline14):
 
 def test_pipeline_json_write_peak(tmp_path, pipeline14):
     # the writer holds one block's text at a time and builds no tuple
-    # per edge: writing this 1.4 MB file peaks near 2.6 MB; a tuple per
+    # per edge: writing this 1.4 MB file peaks near 0.43 MB; a tuple per
     # edge of a block and its json.dumps text would reach 6.5 MB
     ct, meta = pipeline14
     path = tmp_path / "l14.json"

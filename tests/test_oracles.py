@@ -3,8 +3,9 @@ covering-map check, the common lift, bipartite matching, the high-girth
 generator, rooted-tree canonical forms, the coupled walk at radius 2 and
 the exact small-instance solvers; the coupled walk's tree test against
 the up-front view check it replaced; the edge-view halves against the
-union-view split they replaced; and Hopcroft-Karp and the two-colouring
-against the dict and queue versions they replaced."""
+union-view split they replaced; Hopcroft-Karp and the two-colouring
+against the dict and queue versions they replaced; and the generator's
+closed-form minimum order against the summing loop it replaced."""
 
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ from clustertree.localsim import (
     exact_small,
     validate_solution,
 )
-from clustertree.skeleton import CTGraph, build_skeleton
+from clustertree.skeleton import CTGraph, _high_girth_min_m, build_skeleton
 
 nx = pytest.importorskip("networkx")
 hypothesis = pytest.importorskip("hypothesis")
@@ -389,6 +390,43 @@ def test_two_coloring_matches_queue_bfs_on_pipeline_lift():
     colors = ct.graph.two_coloring()
     assert colors is not None
     assert colors == reference_two_coloring(ct.graph)
+
+
+def reference_high_girth_min_m(delta: int, girth_target: int) -> int | float:
+    """The summing loop that the closed form replaced: 2 (delta-1)^i for
+    i = 0..girth_target-2, stopped once the total reaches 10^4300."""
+    limit = 10**4300
+    if delta == 2:
+        total = 2 * (girth_target - 1)
+    else:
+        total, term = 0, 2
+        for _ in range(girth_target - 1):
+            total += term
+            term *= delta - 1
+            if total >= limit:
+                break
+    return total if total < limit else math.inf
+
+
+def test_high_girth_min_m_matches_summing_loop_on_a_grid():
+    for delta in range(2, 40):
+        for girth_target in range(3, 200):
+            assert _high_girth_min_m(delta, girth_target) == (
+                reference_high_girth_min_m(delta, girth_target)
+            ), (delta, girth_target)
+
+
+@pytest.mark.parametrize(
+    "delta, girth_target",
+    # each side of 10^4300: 2^g - 2 first reaches it at g = 14285, and
+    # 2 (1 + 1000 + ... + 1000^(g-2)) at g = 1436; at delta = 2^70 the
+    # sum has 22 digits at girth 3 and 4,173 at girth 200
+    [(3, 14284), (3, 14285), (3, 14286), (3, 14287),
+     (1001, 1434), (1001, 1435), (1001, 1436), (2**70, 3), (2**70, 200)],
+)
+def test_high_girth_min_m_matches_summing_loop_at_the_size_limit(delta, girth_target):
+    want = reference_high_girth_min_m(delta, girth_target)
+    assert _high_girth_min_m(delta, girth_target) == want
 
 
 def replay_high_girth(delta: int, girth_target: int, m: int):

@@ -6,14 +6,17 @@ import pytest
 
 from clustertree.cli import dispatch
 from clustertree.graph import Graph
+from clustertree.lifts import build_high_girth_ct
 from clustertree.skeleton import (
     CTGraph,
     INTERNAL,
     LEAF,
     build_skeleton,
     cluster_count,
+    estimate_pipeline_size,
     predicted_sizes,
     read_skeleton_json,
+    root_edge_count,
     skeleton_from_json_dict,
     skeleton_to_dot,
     skeleton_to_json_dict,
@@ -157,6 +160,27 @@ def test_predicted_sizes_big_integers_exact():
     assert p.n == sum(
         cluster_count(6, l) * 40 ** (13 - l) for l in range(8)
     )
+
+
+@pytest.mark.parametrize(
+    "k, beta, estimate, nodes", [(1, 4, 41_984, 25_600), (1, 5, 112_000, 72_000)]
+)
+def test_pipeline_estimate_bounds_the_nodes_the_pipeline_builds(
+    k, beta, estimate, nodes
+):
+    ct, _ = build_high_girth_ct(k, beta)
+    assert (estimate_pipeline_size(k, beta), ct.n) == (estimate, nodes)
+    assert estimate >= nodes
+
+
+@pytest.mark.parametrize(
+    "fixture, k, beta, bound",
+    [("g14", 1, 4, 320), ("g16", 1, 16, 69_632), ("g26", 2, 6, 334_368)],
+)
+def test_root_edge_count_bounds_the_built_edge_count(request, fixture, k, beta, bound):
+    # n_0 (1 + beta + ... + beta^k): the edges at the root cluster alone
+    assert root_edge_count(k, beta) == bound
+    assert bound <= request.getfixturevalue(fixture).graph.edge_count()
 
 
 def test_skeleton_json_round_trip():

@@ -19,7 +19,7 @@ runs print the same lines:
     python tools/golden.py src > new.txt
     diff old.txt new.txt
 
-The whole list takes about 12 s on 2 vCPUs; the (2,8) build peaks near
+The whole list takes about 20 s on 2 vCPUs; the (2,8) build peaks near
 350 MB.
 """
 
@@ -73,6 +73,25 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("export-dot", ["export-dot", "--graph", "b14.json", "--out", "b14.dot"]),
     ("export-dot-skeleton", ["export-dot", "--skeleton", "s3.json",
                              "--out", "s3-flat.dot"]),
+    # size refusals, and the largest sizes predict prints
+    ("build-3-8-refused", ["build", "--k", "3", "--beta", "8",
+                           "--out", "b38.json"]),
+    ("skeleton-12-refused", ["skeleton", "--k", "12", "--beta", "26",
+                             "--out", "s12.json"]),
+    ("predict-3000-refused", ["predict", "--k", "3000", "--beta", "6002"]),
+    ("predict-700", ["predict", "--k", "700", "--beta", "1402"]),
+    ("pipeline-2-6-refused", ["lift", "--op", "pipeline", "--k", "2",
+                              "--beta", "6", "--out", "p26.json"]),
+    ("pipeline-1000-refused", ["lift", "--op", "pipeline", "--k", "1000",
+                               "--beta", "2002", "--out", "p1000.json"]),
+    ("pipeline-10-2^70-refused", ["lift", "--op", "pipeline", "--k", "10",
+                                  "--beta", str(2**70), "--out", "p10.json"]),
+    ("high-girth-20000-refused", ["lift", "--op", "high-girth-regular",
+                                  "--delta", "3", "--girth", "20000",
+                                  "--m", "30", "--out", "hg20000.json"]),
+    ("high-girth-below-minimum", ["lift", "--op", "high-girth-regular",
+                                  "--delta", "3", "--girth", "5", "--m", "4",
+                                  "--out", "hg5.json"]),
 ]
 
 
