@@ -160,6 +160,12 @@ def _cmd_lift(args) -> int:
         size = sk.common_lift_order(h, h_prime)
         if size > args.size_cap:
             raise SizeCapExceededError(size, args.size_cap)
+        need = sk.common_lift_bytes(size, h.max_degree())
+        if need > sk.MEMORY_BUDGET:
+            raise ClusterTreeError(
+                f"the common lift needs about {need >> 20} MiB to build, "
+                f"more than {sk.MEMORY_BUDGET >> 20} MiB"
+            )
         g, cm1, cm2 = lifts.common_lift(h, h_prime)
         maps = ((args.map_out, cm1), (args.map2_out, cm2))
         what = f"common lift with {g.n} nodes"
@@ -229,6 +235,11 @@ def _cmd_verify_iso(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.trials > sk.MAX_TRIALS:
+        raise ClusterTreeError(
+            f"{args.trials} trials are more than the {sk.MAX_TRIALS} whose "
+            f"results fit in {sk.MEMORY_BUDGET >> 20} MiB"
+        )
     gf = read_graph_json(args.graph)
     report = localsim.measure_expectation(
         gf.graph,

@@ -555,7 +555,8 @@ def measure_expectation(
     if algorithm not in ALGORITHMS:
         raise KeyError(algorithm)
     rng = random.Random(seed)
-    trial_seeds = [rng.randrange(2**63) for _ in range(trials)]
+    # drawn as the trials take them, in the same order
+    trial_seeds = (rng.randrange(2**63) for _ in range(trials))
     trial = partial(_one_trial, g, k, algorithm, kind)
 
     # no more workers than CPUs, and no pool for one worker

@@ -284,6 +284,29 @@ def common_lift_order(h: Graph, h_prime: Graph) -> int:
     return n1 * n2
 
 
+# the most bytes a working set priced below may take; a command refuses
+# an input whose estimate passes it
+MEMORY_BUDGET = 2**30
+
+
+def common_lift_bytes(order: int, degree: int) -> int:
+    """About the peak bytes ``lifts.common_lift`` takes to build a lift of
+    ``order`` nodes with ``degree`` row entries each: 100 per node (its
+    row tuple, its shared int and its list slot) and 10 per entry (a
+    pointer and the rows it is zipped from). On circulant lifts of
+    40,000 to 1,000,000 nodes at degrees 3 to 50, the growth of
+    ru_maxrss came within 10% under this."""
+    return order * (100 + 10 * degree)
+
+
+# bytes simulate keeps per trial for its report: ru_maxrss grew by 90 a
+# trial serially, and with --jobs 2 by 200 in the parent and 360 in the
+# pool workers, over 100,000 to 300,000 trials with sizes below 257,
+# which CPython shares; a larger size adds a 32-byte int
+TRIAL_BYTES = 640
+MAX_TRIALS = MEMORY_BUDGET // TRIAL_BYTES
+
+
 # ---------------------------------------------------------------------------
 # Concrete CT graphs and their validation
 # ---------------------------------------------------------------------------

@@ -439,9 +439,13 @@ HUGE_N = {"n": 1_000_000_000, "edges": []}
          "usage error: 'n' exceeds twice the edge count by more than 5000000"),
         (["export-dot", "--graph", "huge.json"], 2,
          "usage error: 'n' exceeds twice the edge count by more than 5000000"),
+        (["simulate", "--graph", "huge.json", "--k", "1", "--alg",
+          "skip-local-max", "--kind", "vc", "--trials", "100000000"], 1,
+         "error: 100000000 trials are more than the 1677721 whose results "
+         "fit in 1024 MiB"),
     ],
     ids=["build-3-8", "build-4-10-double", "skeleton-12", "simulate-huge-n",
-         "export-dot-huge-n"],
+         "export-dot-huge-n", "simulate-trials"],
 )
 def test_size_refusals_end_at_once_under_a_memory_limit(tmp_path, argv, code, message):
     # unguarded, each of these builds until memory runs out, so each runs
@@ -490,6 +494,34 @@ def test_common_lift_refuses_past_the_cap_under_a_memory_limit(tmp_path):
     assert time.perf_counter() - start < 2
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", "error: estimated output size 1600000000 exceeds cap 5000000\n"
+    )
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_common_lift_refuses_past_the_memory_budget_under_a_memory_limit(tmp_path):
+    # two 50-regular bipartite circulants on 2,000 nodes: the lift's
+    # 4,000,000 nodes pass the node cap, but its 200 million row entries
+    # run out of memory while the rows are built
+    edges = [[i, 1000 + (i + j) % 1000] for i in range(1000) for j in range(50)]
+    (tmp_path / "c.json").write_text(json.dumps({"n": 2000, "edges": edges}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustertree", "lift", "--op", "common-lift",
+         "--graph", "c.json", "--graph2", "c.json", "--out", "x.out"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        preexec_fn=limit_memory,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: the common lift needs about 2288 MiB to build, "
+        "more than 1024 MiB\n"
     )
     assert not (tmp_path / "x.out").exists()
 

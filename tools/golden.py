@@ -92,6 +92,12 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("high-girth-below-minimum", ["lift", "--op", "high-girth-regular",
                                   "--delta", "3", "--girth", "5", "--m", "4",
                                   "--out", "hg5.json"]),
+    # files the graph reader refuses: a list, and an object without 'n'
+    ("verify-iso-not-a-graph", ["verify-iso", "--graph", "md.json", "--k", "1",
+                                "--v0", "0", "--v1", "1"]),
+    ("simulate-map-not-a-graph", ["simulate", "--graph", "dc.map.json",
+                                  "--k", "1", "--alg", "skip-local-max",
+                                  "--kind", "vc", "--trials", "1"]),
 ]
 
 
