@@ -176,6 +176,11 @@ def _cmd_lift(args) -> int:
         # the output has exactly 2m nodes
         if 2 * args.m > args.size_cap:
             raise SizeCapExceededError(2 * args.m, args.size_cap)
+        if sk.high_girth_bytes(2 * args.m) > sk.MEMORY_BUDGET:
+            raise ClusterTreeError(
+                f"a high-girth graph on {2 * args.m} nodes needs more than "
+                f"{sk.MEMORY_BUDGET >> 20} MiB for its ball table"
+            )
         g = lifts.high_girth_regular(args.delta, args.girth, args.m)
         what = f"{args.delta}-regular graph, girth {girth(g)},"
     else:  # pipeline

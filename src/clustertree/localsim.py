@@ -544,7 +544,10 @@ def measure_expectation(
     is reported only when every trial was valid and an oracle applies.
     ``algorithm`` is a name in :data:`ALGORITHMS`. With ``jobs`` > 1,
     trials run in a process pool and are merged in seed order, so
-    reports are identical regardless of parallelism.
+    reports are identical regardless of parallelism. The pool's
+    initializer hands each worker the graph and the other fixed
+    arguments once, so a task carries only its trial seeds, and the
+    parent finds the oracle while the workers run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -557,28 +560,34 @@ def measure_expectation(
     rng = random.Random(seed)
     # drawn as the trials take them, in the same order
     trial_seeds = (rng.randrange(2**63) for _ in range(trials))
-    trial = partial(_one_trial, g, k, algorithm, kind)
 
     # no more workers than CPUs, and no pool for one worker
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1:
         import concurrent.futures as cf
 
-        # one chunk per worker, and no worker without a chunk: each
-        # unpickles the graph once and reuses its view frames for the rest
-        # of the chunk
+        # one chunk per worker, and no worker without a chunk. The
+        # initializer's arguments reach a forked worker without pickling
+        # (other start methods pickle them once per worker), so each
+        # worker keeps one graph and its view frames for its whole chunk
         chunk = math.ceil(trials / jobs)
-        with cf.ProcessPoolExecutor(max_workers=math.ceil(trials / chunk)) as pool:
-            results = list(pool.map(trial, trial_seeds, chunksize=chunk))
+        with cf.ProcessPoolExecutor(
+            max_workers=math.ceil(trials / chunk),
+            initializer=_start_worker,
+            initargs=(g, k, algorithm, kind),
+        ) as pool:
+            pending = pool.map(_worker_trial, trial_seeds, chunksize=chunk)
+            oracle = _oracle_optimum(g, kind)
+            results = list(pending)
     else:
-        results = list(map(trial, trial_seeds))
+        results = list(map(partial(_one_trial, g, k, algorithm, kind), trial_seeds))
+        oracle = _oracle_optimum(g, kind)
 
     sizes = tuple(r[0] for r in results)
     valid = tuple(r[1] for r in results)
     mean = statistics.fmean(sizes)
     std = statistics.stdev(sizes) if trials > 1 else 0.0
     all_valid = all(valid)
-    oracle = _oracle_optimum(g, kind)
     ratio = None
     if all_valid and oracle not in (None, 0):
         ratio = mean / oracle
@@ -593,6 +602,19 @@ def measure_expectation(
         oracle=oracle,
         ratio=ratio,
     )
+
+
+# a pool worker's (g, k, algorithm, kind), set once by its initializer
+_worker_args: tuple = ()
+
+
+def _start_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_trial(trial_seed: int) -> tuple[int, bool]:
+    return _one_trial(*_worker_args, trial_seed)
 
 
 def _one_trial(

@@ -299,6 +299,16 @@ def common_lift_bytes(order: int, degree: int) -> int:
     return order * (100 + 10 * degree)
 
 
+def high_girth_bytes(order: int) -> int:
+    """About the peak bytes ``lifts.high_girth_regular`` takes to build a
+    graph of ``order`` nodes. Its ball table starts on the cycle, where
+    each node keeps one mask of up to ``order`` bits per radius up to
+    order / 2: about order^3 / 16 bytes, and the lists that hold them.
+    At orders 1,000 to 2,000 (delta 3, girth 5), the growth of ru_maxrss
+    came within 6% of order^3 / 14."""
+    return order**3 // 14
+
+
 # bytes simulate keeps per trial for its report: ru_maxrss grew by 90 a
 # trial serially, and with --jobs 2 by 200 in the parent and 360 in the
 # pool workers, over 100,000 to 300,000 trials with sizes below 257,

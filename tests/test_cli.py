@@ -443,9 +443,13 @@ HUGE_N = {"n": 1_000_000_000, "edges": []}
           "skip-local-max", "--kind", "vc", "--trials", "100000000"], 1,
          "error: 100000000 trials are more than the 1677721 whose results "
          "fit in 1024 MiB"),
+        (["lift", "--op", "high-girth-regular", "--delta", "3", "--girth", "12",
+          "--m", "2000000"], 1,
+         "error: a high-girth graph on 4000000 nodes needs more than 1024 MiB "
+         "for its ball table"),
     ],
     ids=["build-3-8", "build-4-10-double", "skeleton-12", "simulate-huge-n",
-         "export-dot-huge-n", "simulate-trials"],
+         "export-dot-huge-n", "simulate-trials", "high-girth-regular-4000000"],
 )
 def test_size_refusals_end_at_once_under_a_memory_limit(tmp_path, argv, code, message):
     # unguarded, each of these builds until memory runs out, so each runs

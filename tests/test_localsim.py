@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import io
 import json
 import os
+import pickle
 import random
 import statistics
 
@@ -380,9 +382,11 @@ def test_measure_expectation_caps_workers_at_cpu_count(g14, monkeypatch):
     pools = []
 
     class SerialPool:
-        # records what the pool is asked for and starts no process
-        def __init__(self, max_workers):
+        # records what the pool is asked for and starts no process; runs
+        # the initializer once, as a worker would
+        def __init__(self, max_workers, initializer, initargs):
             pools.append([max_workers])
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -405,6 +409,49 @@ def test_measure_expectation_caps_workers_at_cpu_count(g14, monkeypatch):
         )
         assert pools == ([pool] if pool else [])
         assert rep == serial
+
+
+def test_measure_expectation_sends_the_graph_once_by_initializer(g14, monkeypatch):
+    # the graph reaches a worker through the pool's initializer; the
+    # function each task carries names the trial and holds no graph
+    sent = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sent.append(initargs)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            graphs = []
+
+            class GraphFinder(pickle.Pickler):
+                def persistent_id(self, obj):
+                    if isinstance(obj, Graph):
+                        graphs.append(obj)
+                    return None  # pickle it as usual
+
+            buf = io.BytesIO()
+            GraphFinder(buf).dump(fn)
+            sent.append((graphs, len(buf.getvalue())))
+            return map(fn, items)
+
+    serial = measure_expectation(g14.graph, 1, "skip-local-max", VC, trials=10, seed=3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(localsim, "_worker_args", ())  # restored afterwards
+    rep = measure_expectation(
+        g14.graph, 1, "skip-local-max", VC, trials=10, seed=3, jobs=2
+    )
+    initargs, (graphs, size) = sent
+    assert any(arg is g14.graph for arg in initargs)
+    assert graphs == [] and size < 1024
+    assert rep == serial
 
 
 def test_mutual_edges_consistency(g14):

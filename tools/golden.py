@@ -70,6 +70,10 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("simulate", ["simulate", "--graph", "b116.json", "--k", "1",
                   "--alg", "skip-local-max", "--kind", "vc", "--trials", "20",
                   "--seed", "7", "--report", "sim.json"]),
+    ("simulate-jobs-2", ["simulate", "--graph", "b116.json", "--k", "1",
+                         "--alg", "skip-local-max", "--kind", "vc",
+                         "--trials", "20", "--seed", "7",
+                         "--report", "sim-jobs2.json", "--jobs", "2"]),
     ("export-dot", ["export-dot", "--graph", "b14.json", "--out", "b14.dot"]),
     ("export-dot-skeleton", ["export-dot", "--skeleton", "s3.json",
                              "--out", "s3-flat.dot"]),
