@@ -202,6 +202,8 @@ def _cmd_verify_iso(args) -> int:
         raise ValueError("--v0 and --v1 go together")
     if args.v0 is None and args.all_pairs_sample is None:
         raise ValueError("need --v0/--v1 or --all-pairs-sample")
+    if args.v0 is not None and args.all_pairs_sample is not None:
+        raise ValueError("--v0/--v1 and --all-pairs-sample exclude each other")
     if args.all_pairs_sample is not None and args.all_pairs_sample < 1:
         raise ValueError("--all-pairs-sample must be at least 1")
     ct = _load_ct(args.graph)
@@ -258,7 +260,9 @@ def _cmd_simulate(args) -> int:
     doc = report.to_json_dict()
     doc["environment"] = {
         "python": platform.python_version(),
-        "platform": platform.platform(),
+        # platform.platform() reads uname().processor, which runs `uname -p`
+        # in a child process
+        "platform": f"{platform.system()}-{platform.release()}-{platform.machine()}",
         "graph": args.graph,
         "k": args.k,
         "alg": args.alg,

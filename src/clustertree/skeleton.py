@@ -11,8 +11,9 @@ grown k-1 times:
 
 * every internal cluster gets one new child via exponents (r, r+1) in
   round r;
-* every leaf whose exponent toward its parent is q+1 gets one new child
-  via (p, p+1) for each p in {0..r} except q.
+* every leaf whose exponent toward its parent is q gets one new child
+  via (p, p+1) for each p in {0..r} except q, so its outgoing exponents
+  become 0..r, like every internal cluster's.
 
 Cluster ids are assigned in creation order; each round appends new
 clusters sorted by (parent id, exponent), so ids are stable across runs.
@@ -104,56 +105,28 @@ def build_skeleton(k: int, beta: int) -> ClusterTreeSkeleton:
     """Grow the skeleton for parameter ``k`` (requires beta >= 2(k+1))."""
     _require_beta(k, beta)
 
-    # (level, round, parent, parent_exponent) per cluster; edges as tuples
-    levels = [0, 1, 1, 2]
-    rounds = [1, 1, 1, 1]
-    parents: list[int | None] = [None, 0, 0, 1]
-    parent_exps: list[int | None] = [None, 1, 2, 1]
-    edges: list[tuple[int, int, int]] = [(0, 1, 0), (0, 2, 1), (1, 3, 0)]
-
-    # leaf ids after the base round, with the exponent toward their parent
-    leaf_q = {2: 2, 3: 1}
-
+    # (parent, exponent toward the parent, level, round) per cluster id
+    grown: list[tuple[int | None, int | None, int, int]] = [
+        (None, None, 0, 1), (0, 1, 1, 1), (0, 2, 1, 1), (1, 1, 2, 1)
+    ]
+    leaves = range(2, 4)  # the ids made in the last round
     for r in range(2, k + 1):
-        # (parent id, exp_a), made in ascending order: cids ascend, and
-        # so do the exponents of each cid
-        new_specs: list[tuple[int, int]] = []
-        n_before = len(levels)
-        for cid in range(n_before):
-            if cid in leaf_q:
-                q = leaf_q[cid]
-                for p in range(r + 1):
-                    if p != q:
-                        new_specs.append((cid, p))
-            else:
-                new_specs.append((cid, r))
-        new_leaf_q: dict[int, int] = {}
-        for parent, exp_a in new_specs:
-            cid = len(levels)
-            levels.append(levels[parent] + 1)
-            rounds.append(r)
-            parents.append(parent)
-            parent_exps.append(exp_a + 1)
-            edges.append((parent, cid, exp_a))
-            new_leaf_q[cid] = exp_a + 1
-        leaf_q = new_leaf_q
+        made = len(grown)
+        for cid, (_, q, level, _) in enumerate(grown[:made]):
+            # exponents toward the new children, ascending
+            exps = [p for p in range(r + 1) if p != q] if cid in leaves else [r]
+            grown.extend((cid, p + 1, level + 1, r) for p in exps)
+        leaves = range(made, len(grown))
 
-    leaf_ids = set(leaf_q)
     clusters = tuple(
-        Cluster(
-            id=cid,
-            level=levels[cid],
-            position=LEAF if cid in leaf_ids else INTERNAL,
-            round=rounds[cid],
-            parent=parents[cid],
-            parent_exponent=parent_exps[cid],
-        )
-        for cid in range(len(levels))
+        Cluster(cid, level, LEAF if cid in leaves else INTERNAL, rnd, parent, q)
+        for cid, (parent, q, level, rnd) in enumerate(grown)
     )
-    skel_edges = tuple(
-        SkeletonEdge(a=a, b=b, exp_a=x, exp_b=x + 1) for a, b, x in edges
+    edges = tuple(
+        SkeletonEdge(c.parent, c.id, c.parent_exponent - 1, c.parent_exponent)
+        for c in clusters[1:]
     )
-    return ClusterTreeSkeleton(k=k, beta=beta, clusters=clusters, edges=skel_edges)
+    return ClusterTreeSkeleton(k=k, beta=beta, clusters=clusters, edges=edges)
 
 
 def cluster_count(k: int, l: int) -> int:
@@ -394,11 +367,37 @@ def validate_ct_graph(ct: CTGraph) -> ValidationReport:
         out.append(Violation("assignment", f"unknown cluster ids {bad}"))
         return ValidationReport(out)
 
-    groups = ct.cluster_nodes()
+    # one pass over the rows: cluster sizes, each node's neighbour count
+    # per skeleton-adjacent cluster, and the u < v edges that no skeleton
+    # edge carries
+    want = {
+        c: {other: beta**x for other, x in row.items()}
+        for c, row in skel.out_exponent.items()
+    }
+    sizes = dict.fromkeys(want, 0)
+    independence_bad: list[tuple[int, int]] = []
+    stray: list[tuple[int, int]] = []
+    # (cluster, neighbour cluster) -> [(node, count)] in node order
+    offenders: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    cluster_of = ct.cluster_of
+    for v, row in enumerate(g.adj):
+        cv = cluster_of[v]
+        sizes[cv] += 1
+        wants = want[cv]
+        have = dict.fromkeys(wants, 0)
+        for w in row:
+            cw = cluster_of[w]
+            if cw in have:
+                have[cw] += 1
+            elif v < w:
+                (independence_bad if cw == cv else stray).append((v, w))
+        for other, count in have.items():
+            if count != wants[other]:
+                offenders.setdefault((cv, other), []).append((v, count))
 
     # size ratio |B| = |A| / beta per skeleton edge
     for e in skel.edges:
-        na, nb = len(groups[e.a]), len(groups[e.b])
+        na, nb = sizes[e.a], sizes[e.b]
         if na != nb * beta:
             out.append(
                 Violation(
@@ -407,45 +406,23 @@ def validate_ct_graph(ct: CTGraph) -> ValidationReport:
                 )
             )
 
-    exponent = skel.out_exponent
-    independence_bad: list[tuple[int, int]] = []
-    stray: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        cu, cv = ct.cluster_of[u], ct.cluster_of[v]
-        if cu == cv:
-            independence_bad.append((u, v))
-        elif cv not in exponent[cu]:
-            stray.append((u, v))
-    if independence_bad:
-        out.append(
-            Violation(
-                "independence",
-                f"edges inside a cluster: {independence_bad}",
-            )
-        )
-    if stray:
-        out.append(
-            Violation(
-                "stray-edges",
-                f"edges between non-adjacent clusters: {stray}",
-            )
-        )
+    for constraint, what, edges in (
+        ("independence", "edges inside a cluster", independence_bad),
+        ("stray-edges", "edges between non-adjacent clusters", stray),
+    ):
+        if edges:
+            out.append(Violation(constraint, f"{what}: {edges}"))
 
     # biregularity per skeleton edge
     for e in skel.edges:
         for side, other in ((e.a, e.b), (e.b, e.a)):
-            want = beta ** exponent[side][other]
-            offenders = []
-            for v in groups[side]:
-                have = sum(1 for w in g.adj[v] if ct.cluster_of[w] == other)
-                if have != want:
-                    offenders.append((v, have))
-            if offenders:
+            if (side, other) in offenders:
                 out.append(
                     Violation(
                         "biregularity",
-                        f"C{side}->C{other} expects {want} neighbors per node; "
-                        f"offenders (node, count): {offenders}",
+                        f"C{side}->C{other} expects {want[side][other]} "
+                        f"neighbors per node; offenders (node, count): "
+                        f"{offenders[side, other]}",
                     )
                 )
 

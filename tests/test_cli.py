@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -197,6 +198,28 @@ def test_simulate_writes_report(tmp_path):
     assert doc["trials"] == 3
     assert doc["all_valid"] is True
     assert "environment" in doc
+
+
+def test_simulate_starts_no_child_process(tmp_path, monkeypatch):
+    # platform.platform() reads uname().processor, which runs `uname -p`
+    # through subprocess.check_output once per interpreter
+    gpath = tmp_path / "g.json"
+    run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)])
+
+    def no_child(*args, **kwargs):
+        raise AssertionError(f"child process started: {args}")
+
+    monkeypatch.setattr(platform, "_uname_cache", None)
+    monkeypatch.setattr(platform, "_platform_cache", {})
+    monkeypatch.setattr(subprocess, "check_output", no_child)
+    rpath = tmp_path / "sim.json"
+    code = run(
+        ["simulate", "--graph", str(gpath), "--k", "1", "--alg", "skip-local-max",
+         "--kind", "vc", "--trials", "2", "--report", str(rpath)]
+    )
+    assert code == 0
+    env = json.loads(rpath.read_text())["environment"]
+    assert env["platform"].startswith(platform.system())
 
 
 def test_simulate_unknown_algorithm(tmp_path, capsys):
@@ -622,9 +645,12 @@ def test_missing_required_flag_exits_2():
           "--m", "30"], "degree must be at least 2"),
         (["lift", "--op", "high-girth-regular", "--delta", "3", "--girth", "2",
           "--m", "30"], "girth target must be at least 3"),
+        (["verify-iso", "--graph", "g.json", "--k", "1", "--v0", "0", "--v1",
+          "1", "--all-pairs-sample", "5"],
+         "--v0/--v1 and --all-pairs-sample exclude each other"),
     ],
     ids=["build-k-zero", "verify-iso-no-pairs", "high-girth-delta-1",
-         "high-girth-girth-2"],
+         "high-girth-girth-2", "verify-iso-pair-and-sample"],
 )
 def test_bad_arguments_end_in_one_line_usage_error(tmp_path, capsys, argv, message):
     out = ["--out", str(tmp_path / "x.json")] if argv[0] != "verify-iso" else []

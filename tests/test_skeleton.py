@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+from operator import countOf
 
 import pytest
 
@@ -395,3 +398,100 @@ def test_validate_reports_of_the_flag_tests_are_pinned(g14):
         "[biregularity] C1->C3 expects 1 neighbors per node; offenders "
         "(node, count): [(0, 0)]",
     ]
+
+
+# sha256 of repr(build_skeleton(k, 2k + 2)): the skeleton JSON omits
+# each cluster's round and parent, which the walk's classify reads
+SKELETON_REPR_DIGESTS = {
+    1: "132c8958e471613cb6251d9f56f817bd8606b5addfa4281d7dcf263465070d0b",
+    2: "c3d7312250ac03b3c7aba7b2e87f8c6fdb984ca7bae6db390bb995a6a0d8ac44",
+    3: "b217c34c471b35b6efd47e8f3e51dca06f368613d72a6b86e3ac8f545fdd529c",
+    4: "c8b5c4a3903fa8b2008aef32f2cd202a7c8c2bec91dd33451c4aaacdaa09d6b0",
+    5: "4dc1a228a8aa83b781d011d17c5b9caadc142236491d7f7a5f5798b5b8bb75d9",
+    6: "7884215087c84a0757cedd32882bca135076d0c67577185749c5c463c446d8e5",
+    7: "88e3e29c4b5bfc7efc84d21a221523c1b4043d6f501907d9e56510c61bf0266c",
+}
+
+
+@pytest.mark.parametrize("k", sorted(SKELETON_REPR_DIGESTS))
+def test_skeleton_repr_is_pinned(k):
+    text = repr(build_skeleton(k, 2 * k + 2))
+    assert hashlib.sha256(text.encode()).hexdigest() == SKELETON_REPR_DIGESTS[k]
+
+
+def reference_report(ct: CTGraph) -> str:
+    """The report of a well-assigned CT graph, checked constraint by
+    constraint: the edges inside a cluster and between non-adjacent
+    clusters over ``g.edges()``, then each skeleton edge's side over the
+    nodes of its cluster."""
+    g, skel, cluster_of = ct.graph, ct.skeleton, ct.cluster_of
+    groups = ct.cluster_nodes()
+    exponent = skel.out_exponent
+    lines = [
+        f"[size-ratio] |C{e.a}|={len(groups[e.a])} and |C{e.b}|="
+        f"{len(groups[e.b])} violate |A| = beta*|B|"
+        for e in skel.edges
+        if len(groups[e.a]) != skel.beta * len(groups[e.b])
+    ]
+    edges = g.edges()
+    inside = [(u, v) for u, v in edges if cluster_of[u] == cluster_of[v]]
+    stray = [
+        (u, v)
+        for u, v in edges
+        if cluster_of[u] != cluster_of[v] and cluster_of[v] not in exponent[cluster_of[u]]
+    ]
+    if inside:
+        lines.append(f"[independence] edges inside a cluster: {inside}")
+    if stray:
+        lines.append(f"[stray-edges] edges between non-adjacent clusters: {stray}")
+    for e in skel.edges:
+        for side, other in ((e.a, e.b), (e.b, e.a)):
+            want = skel.beta ** exponent[side][other]
+            counts = [
+                (v, countOf(map(cluster_of.__getitem__, g.adj[v]), other))
+                for v in groups[side]
+            ]
+            offenders = [(v, have) for v, have in counts if have != want]
+            if offenders:
+                lines.append(
+                    f"[biregularity] C{side}->C{other} expects {want} neighbors "
+                    f"per node; offenders (node, count): {offenders}"
+                )
+    return "\n".join(lines) if lines else "valid CT graph"
+
+
+@pytest.fixture(scope="module")
+def p14():
+    return build_high_girth_ct(1, 4)[0]
+
+
+def damaged_copies(ct: CTGraph, seed: int, count: int):
+    """``count`` copies of ``ct`` with one seeded edit each: an edge
+    removed, a non-edge added, or a node moved to another cluster."""
+    rng = random.Random(seed)
+    g, cluster_of = ct.graph, ct.cluster_of
+    others = len(ct.skeleton.clusters) - 1
+    for i in range(count):
+        rows = list(g.adj)
+        moved = cluster_of
+        u = rng.randrange(g.n)
+        if i % 3 == 0:
+            v = rng.choice(rows[u])
+            rows[u] = tuple(w for w in rows[u] if w != v)
+            rows[v] = tuple(w for w in rows[v] if w != u)
+        elif i % 3 == 1:
+            v = rng.choice([w for w in range(g.n) if w != u and w not in rows[u]])
+            rows[u] = tuple(sorted((*rows[u], v)))
+            rows[v] = tuple(sorted((*rows[v], u)))
+        else:
+            c = (cluster_of[u] + rng.randrange(1, others + 1)) % (others + 1)
+            moved = (*cluster_of[:u], c, *cluster_of[u + 1 :])
+        yield CTGraph(graph=Graph(g.n, rows), skeleton=ct.skeleton, cluster_of=moved)
+
+
+def test_validate_reports_single_edits_as_checked_one_by_one(p14):
+    assert reference_report(p14) == str(validate_ct_graph(p14)) == "valid CT graph"
+    for ct in damaged_copies(p14, seed=30, count=9):
+        report = validate_ct_graph(ct)
+        assert not report.ok
+        assert str(report) == reference_report(ct)

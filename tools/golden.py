@@ -102,6 +102,11 @@ COMMANDS: list[tuple[str, list[str]]] = [
     ("simulate-map-not-a-graph", ["simulate", "--graph", "dc.map.json",
                                   "--k", "1", "--alg", "skip-local-max",
                                   "--kind", "vc", "--trials", "1"]),
+    # mirror-cluster levels read off the skeleton, and a deeper skeleton
+    ("export-dot-double-2-6", ["export-dot", "--graph", "b26d.json",
+                               "--out", "b26d.dot"]),
+    ("skeleton-5-dot", ["skeleton", "--k", "5", "--beta", "12",
+                        "--out", "s5.json", "--dot", "s5.dot"]),
 ]
 
 
