@@ -62,18 +62,13 @@ class DoubledGraph:
 
     Node i of the original corresponds to node n+i of the copy;
     ``pairing`` maps each node to its partner in the other copy.
-    Cluster ids of the copy are offset by the cluster count, so cluster
-    c of the original has mirror cluster c + num_clusters.
+    Cluster ids of the copy are offset by the original's cluster count
+    m, so cluster c of the original has mirror cluster c + m.
     """
 
     graph: Graph
     pairing: tuple[int, ...]
     cluster_of: tuple[int, ...]
-    base: CTGraph
-
-    @property
-    def num_base_clusters(self) -> int:
-        return len(self.base.skeleton.clusters)
 
 
 def build_matching_double(ct: CTGraph) -> DoubledGraph:
@@ -88,6 +83,4 @@ def build_matching_double(ct: CTGraph) -> DoubledGraph:
     m = len(ct.skeleton.clusters)
     cluster_of = tuple(ct.cluster_of) + tuple(c + m for c in ct.cluster_of)
     pairing = tuple(list(range(n, 2 * n)) + list(range(n)))
-    return DoubledGraph(
-        graph=doubled, pairing=pairing, cluster_of=cluster_of, base=ct
-    )
+    return DoubledGraph(graph=doubled, pairing=pairing, cluster_of=cluster_of)

@@ -226,15 +226,14 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
     )
 
 
-def _shortest_cycle_sweep(
-    g: Graph, ceiling: int | float, floor: int = 3
-) -> int | float:
+def _shortest_cycle_sweep(g: Graph, ceiling: int | float) -> int | float:
     """Length of the shortest cycle strictly below ``ceiling``, else ``ceiling``.
 
     BFS from every node with the standard shortest-cycle-through-a-node
-    bound; ``ceiling`` INFINITE gives the girth. ``floor`` is a known
-    lower bound on the girth; the sweep stops once it is reached.
+    bound; ``ceiling`` INFINITE gives the girth. The sweep stops once it
+    meets the least girth possible: 3, or 4 for a bipartite graph.
     """
+    floor = 4 if g.two_coloring() is not None else 3
     best = ceiling
     dist = [-1] * g.n
     parent = [-1] * g.n
@@ -285,26 +284,18 @@ def girth(g: Graph) -> int | float:
     no pass of its own: the sweep finds no cycle in it, and runs one BFS
     per tree component.
     """
-    floor = 4 if g.two_coloring() is not None else 3
-    return _shortest_cycle_sweep(g, INFINITE, floor=floor)
+    return _shortest_cycle_sweep(g, INFINITE)
 
 
 def girth_at_least(g: Graph, bound: int) -> bool:
-    """True iff girth(g) >= bound, with cheap short-circuits.
+    """True iff girth(g) >= bound.
 
-    Simple graphs always have girth >= 3; bipartite ones >= 4. Beyond
-    that, a bounded sweep looks for any cycle shorter than the bound.
-    Forests need no pass of their own: they are bipartite, and the sweep
-    never searches past (bound + 1) // 2 hops and finds no cycle in them.
+    Simple graphs always have girth >= 3. Beyond that, a bounded sweep
+    looks for any cycle shorter than the bound. Forests need no pass of
+    their own: the sweep never searches past (bound + 1) // 2 hops and
+    finds no cycle in them.
     """
-    if bound <= 3:
-        return True
-    floor = 3
-    if g.two_coloring() is not None:
-        if bound <= 4:
-            return True
-        floor = 4
-    return _shortest_cycle_sweep(g, bound, floor=floor) >= bound
+    return bound <= 3 or _shortest_cycle_sweep(g, bound) >= bound
 
 
 def line_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
@@ -336,26 +327,6 @@ class GraphFile:
     graph: Graph
     clusters: tuple[int, ...] | None
     meta: dict | None
-
-
-def _one_per_node(clusters: Sequence[int], n: int) -> Sequence[int]:
-    if len(clusters) != n:
-        raise ValueError("clusters array must have one entry per node")
-    return clusters
-
-
-def graph_to_json_dict(
-    g: Graph,
-    clusters: Iterable[int] | None = None,
-    meta: dict | None = None,
-) -> dict:
-    # json writes the (u, v) tuples as [u, v] arrays
-    doc: dict = {"n": g.n, "edges": g.edges()}
-    if clusters is not None:
-        doc["clusters"] = _one_per_node(list(clusters), g.n)
-    if meta is not None:
-        doc["meta"] = meta
-    return doc
 
 
 def graph_from_json_dict(doc) -> GraphFile:
@@ -415,10 +386,11 @@ def write_graph_json(
     clusters: Sequence[int] | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write ``json.dumps(graph_to_json_dict(g, clusters, meta))`` and a
-    newline, 512 nodes at a time: the edges of 512 nodes per write, then
-    512 cluster entries per write, so the writer never holds the edge
-    list, a copy of ``clusters`` or the whole text.
+    """Write the graph document ``json.dumps`` gives for ``{"n": g.n,
+    "edges": g.edges()}``, then ``"clusters"`` and ``"meta"`` when given,
+    and a newline. It goes out 512 nodes at a time: the edges of 512
+    nodes per write, then 512 cluster entries per write, so the writer
+    never holds the edge list, a copy of ``clusters`` or the whole text.
 
     Relies on ``Graph``'s sorted rows: the edges (u, v) with u < v are
     the tail of u's row after ``bisect_right(row, u)``, already in
@@ -429,8 +401,8 @@ def write_graph_json(
     file is opened.
     """
     n = g.n
-    if clusters is not None:
-        _one_per_node(clusters, n)
+    if clusters is not None and len(clusters) != n:
+        raise ValueError("clusters array must have one entry per node")
     tail = "}\n" if meta is None else f', "meta": {json.dumps(meta)}}}\n'
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{"n": {n}, "edges": [')

@@ -199,8 +199,10 @@ def common_lift(
         for v in kept
     ]
     down = tuple(down1[v] for v in kept)
-    witness1 = Graph(len(kept), [tuple(r for r, _ in col) for col in columns])
-    witness2 = Graph(n2, [tuple(mate[w] for mate in mates2) for w in range(n2)])
+    witness1 = Graph(len(kept), [tuple(sorted(r for r, _ in col)) for col in columns])
+    witness2 = Graph(
+        n2, [tuple(sorted(mate[w] for mate in mates2)) for w in range(n2)]
+    )
     proofs = (
         CoveringMap(witness1, target, down),
         CoveringMap(witness2, h_prime, tuple(down2)),

@@ -93,7 +93,7 @@ def test_matching_double_shape(g14):
         assert g.has_edge(i, doubled.pairing[i])
         assert doubled.pairing[doubled.pairing[i]] == i
     # mirrored cluster identities
-    m = doubled.num_base_clusters
+    m = len(g14.skeleton.clusters)
     assert doubled.cluster_of[0] == 0
     assert doubled.cluster_of[100] == m
     assert g.two_coloring() is not None

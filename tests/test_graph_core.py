@@ -14,7 +14,6 @@ from clustertree.graph import (
     girth_at_least,
     graph_from_json_dict,
     graph_to_dot,
-    graph_to_json_dict,
     k_hop_subgraph,
     line_graph,
     read_graph_json,
@@ -179,16 +178,6 @@ def test_line_graph_degree_law():
             assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
 
 
-def test_json_round_trip(g14):
-    doc = graph_to_json_dict(g14.graph, g14.cluster_of, {"k": 1, "beta": 4})
-    assert doc["edges"] == sorted(doc["edges"])
-    text = json.dumps(doc)
-    gf = graph_from_json_dict(json.loads(text))
-    assert gf.graph.edges() == g14.graph.edges()
-    assert gf.clusters == g14.cluster_of
-    assert gf.meta == {"k": 1, "beta": 4}
-
-
 # the exact message for each kind of bad entry
 BAD_EDGE_ENTRIES = {
     "non-int endpoint": ([[0, 1], [0, "2"]], "edge (0, '2') has a non-integer endpoint"),
@@ -305,9 +294,11 @@ def test_json_n_past_what_edges_and_clusters_back_is_refused(monkeypatch):
     assert graph_from_json_dict(doc).graph.n == 20
 
 
-def test_json_clusters_length_checked():
-    with pytest.raises(ValueError):
-        graph_to_json_dict(K3, [0, 0])
+def test_json_clusters_length_checked(tmp_path):
+    path = tmp_path / "k3.json"
+    with pytest.raises(ValueError, match="one entry per node"):
+        write_graph_json(str(path), K3, [0, 0])
+    assert not path.exists()
 
 
 def test_dot_export_groups_clusters(g14):

@@ -415,6 +415,25 @@ def test_common_lift_girth_inheritance():
         assert verify_covering_map(cm1) and verify_covering_map(cm2)
 
 
+def test_trusted_graphs_of_the_pipeline_and_a_common_lift_are_simple(monkeypatch):
+    # every Graph(n, adj) they make, the covering-map witnesses included,
+    # has the sorted, symmetric rows from_edges would build
+    built = []
+    init = Graph.__init__
+
+    def spy(self, n, adj):
+        init(self, n, adj)
+        built.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(Graph, "__init__", spy)
+        build_high_girth_ct(1, 4)
+        common_lift(PETERSEN, K4)
+    assert built
+    for g in built:
+        assert_simple(g)
+
+
 # ---------------------------------------------------------------------------
 # regular supergraph
 # ---------------------------------------------------------------------------

@@ -92,6 +92,18 @@ def test_girth_matches_networkx(high_girth_graphs):
             assert girth_at_least(g, bound) == (want >= bound), (name, bound)
 
 
+def test_girth_on_random_graphs_matches_networkx(small_corpus):
+    # mostly forests and bipartite graphs; then a perfect matching, whose
+    # sweep has no node of degree 2 to start from, and two edgeless graphs
+    matching = Graph.from_edges(10, [(i, i + 5) for i in range(5)])
+    corpus = [*small_corpus, matching, Graph(0, []), Graph.from_edges(5, [])]
+    for i, g in enumerate(corpus):
+        want = nx.girth(to_nx(g))
+        assert girth(g) == want, i
+        for bound in range(12):
+            assert girth_at_least(g, bound) == (want >= bound), (i, bound)
+
+
 @st.composite
 def permutation_lifts(draw):
     """A target graph on at most 5 nodes, often disconnected, and a

@@ -7,25 +7,30 @@ commands run in order as ``python -m clustertree`` with
 ``PYTHONPATH=SRC_DIR``, in one temporary directory, so a later command
 reads what an earlier one wrote. For each command the script prints one
 ``sha256  label`` line each for its stdout, its stderr and its exit
-code, then one for every file the command wrote or changed. A command
-with ``--all-pairs-sample`` runs through a wrapper that calls the same
-``dispatch`` with the same arguments and also writes the ``(v0, v1)``
-pair of every ``find_isomorphism`` call to ``LABEL.pairs.json``, so the
-listing shows which pairs were sampled, which the report does not say.
-Two source trees give byte-identical outputs on these commands iff two
-runs print the same lines:
+code, then one for every file the command wrote or changed. A
+``simulate`` report is digested without its ``environment`` (the
+interpreter, the platform, the input path and the command's own
+arguments), as the tests' ``GOLDEN`` digests are, so listings from two
+hosts compare. A command with ``--all-pairs-sample`` runs through a
+wrapper that calls the same ``dispatch`` with the same arguments and
+also writes the ``(v0, v1)`` pair of every ``find_isomorphism`` call to
+``LABEL.pairs.json``, so the listing shows which pairs were sampled,
+which the report does not say.
+Two source trees give byte-identical outputs on these commands, report
+environments aside, iff two runs print the same lines:
 
     python tools/golden.py old/src > old.txt
     python tools/golden.py src > new.txt
     diff old.txt new.txt
 
-The whole list takes about 20 s on 2 vCPUs; the (2,8) build peaks near
+The whole list takes about 25 s on 2 vCPUs; the (2,8) build peaks near
 350 MB.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -107,6 +112,31 @@ COMMANDS: list[tuple[str, list[str]]] = [
                                "--out", "b26d.dot"]),
     ("skeleton-5-dot", ["skeleton", "--k", "5", "--beta", "12",
                         "--out", "s5.json", "--dot", "s5.dot"]),
+    # the lift ops the list above misses: the common lift's girth sweep
+    # runs at bound 6 on its 61,504 nodes
+    ("supergraph", ["lift", "--op", "supergraph", "--graph", "b14.json",
+                    "--out", "sg14.json"]),
+    ("common-lift", ["lift", "--op", "common-lift", "--graph", "hg.json",
+                     "--graph2", "dc.json", "--out", "cl.json",
+                     "--map-out", "cl.map1.json",
+                     "--map2-out", "cl.map2.json"]),
+    # a 28-node non-bipartite graph, small enough for the exact oracles:
+    # each simulate below runs one of the three branch-and-bound searches
+    ("high-girth-regular-28", ["lift", "--op", "high-girth-regular",
+                               "--delta", "3", "--girth", "4", "--m", "14",
+                               "--out", "hg28.json"]),
+    ("simulate-28-vc", ["simulate", "--graph", "hg28.json", "--k", "1",
+                        "--alg", "skip-local-max", "--kind", "vc",
+                        "--trials", "20", "--seed", "7",
+                        "--report", "sim28-vc.json"]),
+    ("simulate-28-ds", ["simulate", "--graph", "hg28.json", "--k", "1",
+                        "--alg", "skip-local-max", "--kind", "ds",
+                        "--trials", "20", "--seed", "7",
+                        "--report", "sim28-ds.json"]),
+    ("simulate-28-maxm", ["simulate", "--graph", "hg28.json", "--k", "1",
+                          "--alg", "mutual-max-mm", "--kind", "maxm",
+                          "--trials", "20", "--seed", "7",
+                          "--report", "sim28-maxm.json"]),
 ]
 
 
@@ -136,6 +166,13 @@ def file_digests(root: Path) -> dict[str, str]:
     return {p.name: sha256(p.read_bytes()) for p in root.iterdir() if p.is_file()}
 
 
+def report_digest(path: Path) -> str:
+    """Digest of a ``simulate`` report without its ``environment``."""
+    doc = json.loads(path.read_bytes())
+    doc.pop("environment")
+    return sha256(json.dumps(doc, indent=2).encode())
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/golden.py SRC_DIR", file=sys.stderr)
@@ -161,6 +198,8 @@ def main(argv: list[str]) -> int:
             print(f"{sha256(str(proc.returncode).encode())}  {label} exit")
             for name, digest in sorted(file_digests(root).items()):
                 if before.get(name) != digest:
+                    if args[0] == "simulate":  # its one file is its report
+                        digest = report_digest(root / name)
                     print(f"{digest}  {label} {name}")
             sys.stdout.flush()
     return 0
