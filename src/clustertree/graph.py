@@ -199,6 +199,8 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
             {w for u in nodes[inner:] for w in g.neighbors(u) if w not in index}
         )
         inner = len(nodes)
+        if not layer:  # the ball is whole: deeper layers are empty too
+            break
         for w in layer:
             index[w] = len(nodes)
             nodes.append(w)

@@ -3,8 +3,9 @@
 The engine extracts every node's k-hop view once per graph, then hands
 each algorithm a labeled view object per trial. An algorithm is a pure
 function of that view: the view exposes identifiers, view-internal
-adjacency, depths and optional per-node random tapes, and nothing else,
-so output locality is enforced by construction. Identifiers are distinct
+adjacency as identifier pairs (``edge_ids``) and per-node random tapes,
+and nothing else, so output locality is enforced by construction; a
+node's depth follows from that adjacency. Identifiers are distinct
 integers drawn uniformly from [1, n^3]. Nodes start out not knowing
 their incident edges: a 0-round view is the bare node.
 
@@ -101,47 +102,26 @@ def _view_templates(g: Graph, k: int) -> list[tuple[RootedSubgraph, itemgetter]]
 class View:
     """Labeled k-hop view as seen by a LOCAL algorithm.
 
-    All accessors speak identifiers, never global node indices.
+    All accessors speak identifiers, never global node indices. Depth is
+    not exposed: it follows from the adjacency that ``edge_ids`` gives.
     """
 
-    __slots__ = ("_t", "_root_nbrs", "_ids", "_tape_seed", "k", "_index")
+    __slots__ = ("_t", "_root_nbrs", "_ids", "_tape_seed")
 
-    def __init__(
-        self, frame: tuple[RootedSubgraph, itemgetter], ids, tape_seed: int, k: int
-    ):
+    def __init__(self, frame: tuple[RootedSubgraph, itemgetter], ids, tape_seed: int):
         self._t, self._root_nbrs = frame
         self._ids = ids
         self._tape_seed = tape_seed
-        self.k = k
-        self._index: dict[int, int] | None = None
 
     @property
     def root_id(self) -> int:
         return self._ids[self._t.root]
-
-    def node_count(self) -> int:
-        return len(self._t.nodes)
 
     def node_ids(self) -> tuple[int, ...]:
         return _getter(self._t.nodes)(self._ids)
 
     def root_neighbor_ids(self) -> tuple[int, ...]:
         return self._root_nbrs(self._ids)
-
-    def _local(self, node_id: int) -> int:
-        if self._index is None:
-            self._index = {
-                self._ids[u]: j for j, u in enumerate(self._t.nodes)
-            }
-        return self._index[node_id]
-
-    def neighbor_ids(self, node_id: int) -> tuple[int, ...]:
-        t = self._t
-        hosts = _getter(t.graph.adj[self._local(node_id)])(t.nodes)
-        return _getter(hosts)(self._ids)
-
-    def depth_of(self, node_id: int) -> int:
-        return self._t.depth[self._local(node_id)]
 
     def edge_ids(self) -> list[tuple[int, int]]:
         """View edges as identifier pairs (smaller id first)."""
@@ -183,7 +163,7 @@ def run_local(
     tape_seed = (labeling.rng_seed * _MIX + tape_salt * 0x94D049BB133111EB) & _MASK
     ids = labeling.ids
     return [
-        algorithm(View(frame, ids, tape_seed, k)) for frame in _view_templates(g, k)
+        algorithm(View(frame, ids, tape_seed)) for frame in _view_templates(g, k)
     ]
 
 
@@ -639,22 +619,19 @@ def mm_to_mvc(
     g: Graph,
     mm_algorithm,
     rounds: int,
-    c: float = 36.0,
     seed: int = 0,
 ) -> tuple[int, ...]:
     """Turn a (possibly randomized) matching algorithm into a vertex cover.
 
-    Three steps: run ceil(c * ln(max degree)) independent truncated
-    executions and collect, per run, the endpoints of cleanly selected
-    edges (a node incident to more than one selected edge drops them
-    all); select every node hit in at least a sixth of the runs; finally,
-    both endpoints of any still-uncovered edge join. The result is always
-    a valid cover.
+    Three steps: run ceil(36 * ln(max degree)) independent truncated
+    executions, one tape salt each over one labeling, and collect, per
+    run, the endpoints of cleanly selected edges (a node incident to
+    more than one selected edge drops them all); select every node hit
+    in at least a sixth of the runs; finally, both endpoints of any
+    still-uncovered edge join. The result is always a valid cover.
     """
-    if c < 36:
-        raise ValueError("the amplification constant must be at least 36")
     delta = g.max_degree()
-    runs = math.ceil(c * math.log(delta)) if delta >= 2 else 0
+    runs = math.ceil(36 * math.log(delta)) if delta >= 2 else 0
     labeling = Labeling.generate(g.n, seed)
     hits = [0] * g.n
     for i in range(runs):

@@ -470,9 +470,13 @@ HUGE_N = {"n": 1_000_000_000, "edges": []}
           "--m", "2000000"], 1,
          "error: a high-girth graph on 4000000 nodes needs more than 1024 MiB "
          "for its ball table"),
+        # n_0 = beta^3 alone passes the 10^4300 size limit
+        (["build", "--k", "1", "--beta", str(10**1500)], 1,
+         f"error: the (1, {10**1500}) graph has more than 5000000 edges"),
     ],
     ids=["build-3-8", "build-4-10-double", "skeleton-12", "simulate-huge-n",
-         "export-dot-huge-n", "simulate-trials", "high-girth-regular-4000000"],
+         "export-dot-huge-n", "simulate-trials", "high-girth-regular-4000000",
+         "build-1-10^1500"],
 )
 def test_size_refusals_end_at_once_under_a_memory_limit(tmp_path, argv, code, message):
     # unguarded, each of these builds until memory runs out, so each runs
@@ -617,6 +621,50 @@ def test_simulate_parallel_jobs(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_simulate_radius_past_the_diameter_ends_at_once(tmp_path):
+    # the (1,4) components have diameter 3, so from radius 3 on every view
+    # is its node's whole component and a radius of 10^9 gives the report
+    # of radius 1000; a view that kept adding empty layers would take
+    # hours, so each run is a child process under a timeout
+    gpath = tmp_path / "g.json"
+    assert run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)]) == 0
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    reports = []
+    for k in ("1000000000", "1000"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustertree", "simulate", "--graph", "g.json",
+             "--k", k, "--alg", "skip-local-max", "--kind", "vc", "--trials", "1",
+             "--report", f"sim{k}.json"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        doc = json.loads((tmp_path / f"sim{k}.json").read_text())
+        doc.pop("environment")
+        reports.append(doc)
+    assert reports[0] == reports[1]
+
+
+def test_verify_iso_checks_one_named_pair(tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    assert run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)]) == 0
+    capsys.readouterr()
+    argv = ["verify-iso", "--graph", str(gpath), "--k", "1"]
+    assert run([*argv, "--v0", "0", "--v1", "64"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "success": True,
+        "pairs": 1,
+        "audit_case_histogram": {"None": 6},
+        "special_case_count": 0,
+    }
+    # a named node the graph does not have ends in one line
+    assert run([*argv, "--v0", "999999", "--v1", "64"]) == 2
+    assert capsys.readouterr().err == (
+        "usage error: node 999999 out of range for n=100\n"
+    )
+
+
 def test_verify_iso_rejects_doubled_graphs(tmp_path, capsys):
     gpath = tmp_path / "d.json"
     run(["build", "--k", "1", "--beta", "4", "--double", "--out", str(gpath)])
@@ -695,6 +743,10 @@ def _with_edge(doc, entry):
         ("verify-iso",
          lambda d: {**d, "clusters": [c if c != 1 else 0 for c in d["clusters"]]},
          [], 2),
+        ("simulate", lambda d: d, ["--k", "-1"], 2),
+        ("simulate", lambda d: d, ["--trials", "0"], 2),
+        ("export-dot --skeleton", lambda d: {"k": 1, "beta": 4, "clusters": {}},
+         [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -719,6 +771,9 @@ def _with_edge(doc, entry):
         "export-dot-k-beyond-clusters",
         "verify-iso-no-clusters",
         "verify-iso-no-cluster-1",
+        "simulate-negative-k",
+        "simulate-no-trials",
+        "export-dot-skeleton-clusters-not-a-list",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(

@@ -47,6 +47,7 @@ from clustertree.localsim import (
     validate_solution,
 )
 from clustertree.matching import greedy_maximal_matching
+from clustertree.skeleton import cluster_count
 
 C4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -81,7 +82,7 @@ def test_labeling_matches_random_sample():
 
 def test_zero_round_view_is_bare_node(g14):
     lab = Labeling.generate(g14.graph.n, 0)
-    outs = run_local(g14.graph, 0, lambda view: view.node_count(), lab)
+    outs = run_local(g14.graph, 0, lambda view: len(view.node_ids()), lab)
     assert set(outs) == {1}
 
 
@@ -107,11 +108,11 @@ def test_view_speaks_identifiers_only(g14):
     def probe(view):
         assert view.root_id in ids
         assert set(view.node_ids()) <= ids
-        for nid in view.node_ids():
-            assert view.depth_of(nid) in (0, 1)
-            for other in view.neighbor_ids(nid):
-                assert other in ids
-        return view.node_count()
+        for a, b in view.edge_ids():
+            # at k = 1 every view edge joins the root to a neighbour
+            assert a < b and view.root_id in (a, b)
+            assert {a, b} <= ids
+        return len(view.node_ids())
 
     outs = run_local(g14.graph, 1, probe, lab)
     # view of a cluster-0 node is its degree-5 star
@@ -135,10 +136,10 @@ def test_view_accessors_match_host_adjacency():
                 ids[t.nodes[j]] for j in t.graph.adj[0]
             )
             assert view.node_ids() == tuple(ids[u] for u in t.nodes)
-            for j, u in enumerate(t.nodes):
-                assert view.neighbor_ids(ids[u]) == tuple(
-                    ids[t.nodes[i]] for i in t.graph.adj[j]
-                )
+            assert sorted(view.edge_ids()) == sorted(
+                tuple(sorted((ids[t.nodes[i]], ids[t.nodes[j]])))
+                for i, j in t.graph.edges()
+            )
             return len(view.root_neighbor_ids())
 
         # every accessor returns a tuple, also for one neighbour or none
@@ -587,11 +588,6 @@ def test_oracle_optimum_matches_reference_dispatch(small_corpus):
     assert {localsim._oracle_optimum(odd41, kind) for kind in localsim.KINDS} == {None}
 
 
-def test_mm_to_mvc_requires_large_constant():
-    with pytest.raises(ValueError):
-        mm_to_mvc(C4, alg_tape_greedy_mm, rounds=4, c=10)
-
-
 def test_mm_to_mvc_on_corpus(small_corpus):
     ratios = []
     for i, g in enumerate(small_corpus[:15]):
@@ -753,3 +749,25 @@ def test_algorithm_registry_names():
         "mutual-max-mm",
         "tape-greedy-mm",
     }
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Graph.from_edges(-1, []), "node count must be nonnegative"),
+        (lambda: k_hop_subgraph(K3, K3.n, 1), "node 3 out of range"),
+        (lambda: run_local(K3, 1, alg_always_select, Labeling.generate(4, 0)),
+         "labeling does not match graph size"),
+        (lambda: exact_small(K3, MIS), "no exact solver for kind 'mis'"),
+        (lambda: measure_expectation(K3, 1, "always-select", "cut", 1, 0),
+         "unknown solution kind 'cut'"),
+        (lambda: cluster_count(1, -1), "level must be nonnegative"),
+    ],
+    ids=["from-edges-negative-n", "k-hop-root-out-of-range",
+         "run-local-labeling-size", "exact-small-mis", "measure-unknown-kind",
+         "cluster-count-negative-level"],
+)
+def test_library_refusals_raise_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

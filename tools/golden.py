@@ -23,7 +23,7 @@ environments aside, iff two runs print the same lines:
     python tools/golden.py src > new.txt
     diff old.txt new.txt
 
-The whole list takes about 25 s on 2 vCPUs; the (2,8) build peaks near
+The whole list takes about 30 s on 2 vCPUs; the (2,8) build peaks near
 350 MB.
 """
 
@@ -137,6 +137,38 @@ COMMANDS: list[tuple[str, list[str]]] = [
                           "--alg", "mutual-max-mm", "--kind", "maxm",
                           "--trials", "20", "--seed", "7",
                           "--report", "sim28-maxm.json"]),
+]
+
+# the other 22 algorithm x kind pairs on the 28-node graph, at radius 2 so
+# the whole-view algorithms see edges below the root
+ALGORITHMS = ("always-select", "skip-local-max", "greedy-view-vc",
+              "mutual-max-mm", "tape-greedy-mm")
+KINDS = ("vc", "ds", "maxm", "mm", "mis")
+LISTED = {("skip-local-max", "vc"), ("skip-local-max", "ds"),
+          ("mutual-max-mm", "maxm")}
+COMMANDS += [
+    (f"simulate-28-{alg}-{kind}", [
+        "simulate", "--graph", "hg28.json", "--k", "2", "--alg", alg,
+        "--kind", kind, "--trials", "20", "--seed", "7",
+        "--report", f"sim28-{alg}-{kind}.json"])
+    for alg in ALGORITHMS for kind in KINDS if (alg, kind) not in LISTED
+]
+COMMANDS += [
+    ("simulate-28-k0", ["simulate", "--graph", "hg28.json", "--k", "0",
+                        "--alg", "always-select", "--kind", "vc",
+                        "--trials", "20", "--seed", "7",
+                        "--report", "sim28-k0.json"]),
+    # a radius past the diameter: every view is the node's whole component
+    ("simulate-k1000", ["simulate", "--graph", "b14.json", "--k", "1000",
+                        "--alg", "skip-local-max", "--kind", "vc",
+                        "--trials", "20", "--seed", "7",
+                        "--report", "sim-k1000.json"]),
+    # one named pair, and a pair whose v0 is out of range
+    ("verify-iso-one-pair", ["verify-iso", "--graph", "p14.json", "--k", "1",
+                             "--v0", "0", "--v1", "8192"]),
+    ("verify-iso-v0-out-of-range", ["verify-iso", "--graph", "p14.json",
+                                    "--k", "1", "--v0", "999999",
+                                    "--v1", "0"]),
 ]
 
 
