@@ -7,7 +7,7 @@ yields girth four; raising the girth is the lift pipeline's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph
 from .skeleton import CTGraph, build_skeleton, predicted_sizes
@@ -56,8 +56,7 @@ def build_low_girth(k: int, beta: int) -> CTGraph:
     return ct
 
 
-@dataclass(frozen=True)
-class DoubledGraph:
+class DoubledGraph(NamedTuple):
     """Two copies of a CT graph joined by a perfect matching.
 
     Node i of the original corresponds to node n+i of the copy;

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import random
 import sys
 
@@ -257,6 +256,8 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
     )
+    import platform  # only simulate reports the host
+
     doc = report.to_json_dict()
     doc["environment"] = {
         "python": platform.python_version(),

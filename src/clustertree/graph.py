@@ -15,8 +15,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 # girth of an acyclic graph
@@ -153,8 +152,7 @@ class Graph:
         return color
 
 
-@dataclass(frozen=True, slots=True)
-class RootedSubgraph:
+class RootedSubgraph(NamedTuple):
     """A k-hop view: everything within k hops of a root node.
 
     Edges joining two nodes that are both at the maximum depth are not
@@ -322,8 +320,7 @@ def line_graph(g: Graph) -> tuple[Graph, list[tuple[int, int]]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphFile:
+class GraphFile(NamedTuple):
     """Contents of a graph JSON file."""
 
     graph: Graph

@@ -27,7 +27,7 @@ isomorphic iff their strings are equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .errors import GirthTooLowError, NotATreeError, PairingFailureError
 from .graph import Graph, RootedSubgraph, k_hop_subgraph
@@ -37,8 +37,7 @@ from .skeleton import ClusterTreeSkeleton
 CASE_NONE = 0
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """One coupled-walk pair. ``case`` is 1 or 2 for pairs at depth
     0 < d < k, None where classification does not apply (the root and
     depth-k pairs), and 0 if neither case held (a bug or a non-CT
@@ -58,13 +57,12 @@ class AuditRecord:
     special_case: bool
 
 
-@dataclass
-class PartialIsomorphism:
+class PartialIsomorphism(NamedTuple):
     """A bijection between two views plus the audit trail that produced it."""
 
     forward: dict[int, int]
     backward: dict[int, int]
-    audit: list[AuditRecord] = field(default_factory=list)
+    audit: Sequence[AuditRecord] = ()
 
     def special_case_count(self) -> int:
         return sum(1 for r in self.audit if r.special_case)

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import itemgetter, or_
+from typing import NamedTuple
 
 from .builder import build_low_girth
 from .errors import (
@@ -40,8 +40,7 @@ from .skeleton import ClusterTreeSkeleton, CTGraph, _high_girth_min_m
 from .skeleton import estimate_pipeline_size
 
 
-@dataclass(frozen=True)
-class CoveringMap:
+class CoveringMap(NamedTuple):
     """Node map witnessing that ``source`` is a lift of ``target``."""
 
     source: Graph

@@ -20,11 +20,10 @@ from __future__ import annotations
 import math
 import os
 import random
-import statistics
-from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import compress
 from operator import itemgetter
+from typing import NamedTuple
 
 from .builder import DoubledGraph
 from .errors import GirthTooLowError, NotATreeError, TooLargeError
@@ -43,8 +42,7 @@ _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """Distinct node identifiers drawn uniformly from [1, n^3]."""
 
     ids: tuple[int, ...]
@@ -480,8 +478,7 @@ def exact_small(g: Graph, kind: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     kind: str
     trials: int
     sizes: tuple[int, ...]
@@ -494,7 +491,7 @@ class SimulationReport:
 
     def to_json_dict(self) -> dict:
         # JSON writes the tuples as arrays
-        return asdict(self)
+        return self._asdict()
 
 
 def _oracle_optimum(g: Graph, kind: str) -> int | None:
@@ -562,6 +559,9 @@ def measure_expectation(
     else:
         results = list(map(partial(_one_trial, g, k, algorithm, kind), trial_seeds))
         oracle = _oracle_optimum(g, kind)
+
+    # statistics pulls in decimal and fractions; only simulate needs it
+    import statistics
 
     sizes = tuple(r[0] for r in results)
     valid = tuple(r[1] for r in results)
@@ -659,16 +659,14 @@ def mm_to_mvc(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgePairCheck:
+class EdgePairCheck(NamedTuple):
     v0: int
     v1: int
     v0_bar: int
     passed: bool
 
 
-@dataclass(frozen=True)
-class EdgeIndistReport:
+class EdgeIndistReport(NamedTuple):
     k: int
     checks: tuple[EdgePairCheck, ...]
 

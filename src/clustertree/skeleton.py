@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import SIZE_LIMIT
 from .graph import Graph, load_json
@@ -33,8 +33,7 @@ INTERNAL = "internal"
 LEAF = "leaf"
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """One cluster of a skeleton.
 
     ``round`` is the growth iteration that created the cluster (the base
@@ -50,8 +49,7 @@ class Cluster:
     parent_exponent: int | None
 
 
-@dataclass(frozen=True)
-class SkeletonEdge:
+class SkeletonEdge(NamedTuple):
     """Edge {(a, beta^exp_a), (b, beta^exp_b)} with exp_b = exp_a + 1.
 
     ``a`` is the lower-level endpoint (the parent side).
@@ -63,12 +61,15 @@ class SkeletonEdge:
     exp_b: int
 
 
-@dataclass(frozen=True)
-class ClusterTreeSkeleton:
+class _SkeletonFields(NamedTuple):
     k: int
     beta: int
     clusters: tuple[Cluster, ...]
     edges: tuple[SkeletonEdge, ...]
+
+
+class ClusterTreeSkeleton(_SkeletonFields):
+    # no __slots__: the instance dict holds the cached tables
 
     @cached_property
     def out_label(self) -> dict[int, dict[int, int]]:
@@ -163,8 +164,7 @@ def require_cluster_room(k: int, room: int) -> None:
             )
 
 
-@dataclass(frozen=True)
-class SizePrediction:
+class SizePrediction(NamedTuple):
     """Closed-form node counts and degree for the smallest CT graph."""
 
     k: int
@@ -295,8 +295,7 @@ MAX_TRIALS = MEMORY_BUDGET // TRIAL_BYTES
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CTGraph:
+class CTGraph(NamedTuple):
     """A concrete graph together with a node -> cluster assignment."""
 
     graph: Graph
@@ -320,14 +319,12 @@ class CTGraph:
         return groups
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     constraint: str
     detail: str
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: list[Violation]
 
     @property

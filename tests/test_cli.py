@@ -755,7 +755,7 @@ def _with_edge(doc, entry):
         "simulate-array",
         "verify-iso-missing-beta",
         "verify-iso-short-clusters",
-        "verify-iso-v0-out-of-range",
+        "verify-iso-v0-with-sample",
         "verify-iso-v0-without-v1",
         "verify-iso-sample-zero",
         "verify-iso-sample-negative",
