@@ -183,11 +183,21 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
     edges minus those whose endpoints are both at distance exactly k.
     ``g`` is anything with ``n`` and ``neighbors(v)``: a ``Graph``, a
     ``CTGraph`` or a ``VoltageLift``.
+
+    At k = 1 the view is the root's star, built directly: the root is the
+    one node below depth 1, so every view edge is one of its edges, and an
+    edge between two neighbours joins two depth-1 nodes and is left out.
+    The neighbours are sorted, as a BFS layer is: the protocol sets no order.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"node {v} out of range")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if k == 1:
+        leaves = sorted(g.neighbors(v))
+        d = len(leaves)
+        star = Graph(d + 1, [tuple(range(1, d + 1))] + [(0,)] * d)
+        return RootedSubgraph(star, v, 1, (v, *leaves), (0,) + (1,) * d)
     index = {v: 0}
     nodes = [v]
     depth = [0]
@@ -213,8 +223,7 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
         for j in local:
             if j >= inner:
                 outer[j - inner].append(i)
-    # depth-k nodes with equal neighbour lists (at k = 1, every leaf) share
-    # one tuple
+    # depth-k nodes with equal neighbour lists share one tuple
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     adj.extend(shared.setdefault(t, t) for t in map(tuple, outer))
     return RootedSubgraph(

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from clustertree import graph as graph_module
+from clustertree.builder import build_matching_double
 from clustertree.graph import (
     INFINITE,
     Graph,
@@ -145,6 +146,58 @@ def test_shared_leaf_tuples_change_no_view(g14, g26):
         assert len(sub.nodes) == 8078
         assert sub.graph.adj == _host_view_adjacency(lift, sub)
         assert sub.is_tree()
+
+
+class _Descending:
+    """A host whose neighbour lists run high to low: the neighbour
+    protocol promises no order."""
+
+    def __init__(self, g):
+        self.n = g.n
+        self._adj = g.adj
+
+    def neighbors(self, v):
+        return self._adj[v][::-1]
+
+
+def _check_star(g, v):
+    """The k = 1 view of ``v`` is its star: the root and its sorted
+    neighbours, the root's edges only, every leaf row the one ``(0,)``."""
+    sub = k_hop_subgraph(g, v, 1)
+    d = len(g.neighbors(v))
+    assert (sub.root, sub.k) == (v, 1)
+    assert sub.nodes == (v,) + tuple(sorted(g.neighbors(v)))
+    assert sub.depth == (0,) + (1,) * d
+    assert sub.graph.adj == _host_view_adjacency(g, sub)
+    assert sub.is_tree()
+    leaves = sub.graph.adj[1:]
+    assert all(t == (0,) for t in leaves)
+    assert len({id(t) for t in leaves}) == min(d, 1)
+    return sub
+
+
+def test_one_hop_view_is_the_root_star(g14, g16, g26):
+    doubled = build_matching_double(g14).graph
+    lift = VoltageLift(g26)
+    families = [g14.graph, doubled, g16.graph, _Descending(g14.graph)]
+    for g in families:
+        for v in range(g.n):
+            _check_star(g, v)
+    rng = random.Random(35)
+    for v in rng.sample(range(lift.n), 200):
+        _check_star(lift, v)
+    # the edge between the root's two neighbours is left out
+    assert _check_star(K3, 0).graph.adj == [(1, 2), (0,), (0,)]
+    lone = Graph(3, [(1,), (0,), ()])
+    sub = _check_star(lone, 2)
+    assert sub.nodes == (2,) and sub.graph.adj == [()]
+    # the star holds the first 1 + d nodes of the general radius-2 view
+    for g in families + [lift]:
+        for v in rng.sample(range(g.n), 3):
+            d = len(g.neighbors(v))
+            star, ball = k_hop_subgraph(g, v, 1), k_hop_subgraph(g, v, 2)
+            assert star.nodes == ball.nodes[: 1 + d]
+            assert star.depth == ball.depth[: 1 + d]
 
 
 def test_line_graph_examples():

@@ -170,6 +170,17 @@ COMMANDS += [
                                     "--k", "1", "--v0", "999999",
                                     "--v1", "0"]),
 ]
+# radius-1 views read through their edges, not the root alone: the star of
+# every node of the (1,16) build and of the 28-node graph (one round of
+# tape-greedy-mm leaves some matchings not maximal, so those runs exit 1)
+COMMANDS += [
+    (f"simulate-{name}-k1-{alg}-{kind}", [
+        "simulate", "--graph", f"{name}.json", "--k", "1", "--alg", alg,
+        "--kind", kind, "--trials", "20", "--seed", "7",
+        "--report", f"sim-{name}-k1-{alg}-{kind}.json"])
+    for name in ("b116", "hg28")
+    for alg, kind in (("greedy-view-vc", "vc"), ("tape-greedy-mm", "mm"))
+]
 
 
 # python -c PAIRS_WRAPPER PAIRS_FILE ARGS...: `python -m clustertree ARGS...`
