@@ -58,7 +58,6 @@ from .lifts import (
 )
 from .localsim import (
     ALGORITHMS,
-    EdgeIndistReport,
     Labeling,
     SimulationReport,
     View,

@@ -59,14 +59,13 @@ def build_low_girth(k: int, beta: int) -> CTGraph:
 class DoubledGraph(NamedTuple):
     """Two copies of a CT graph joined by a perfect matching.
 
-    Node i of the original corresponds to node n+i of the copy;
-    ``pairing`` maps each node to its partner in the other copy.
+    Node i of the original corresponds to node n+i of the copy, so the
+    partner of node v is (v + n) mod 2n.
     Cluster ids of the copy are offset by the original's cluster count
     m, so cluster c of the original has mirror cluster c + m.
     """
 
     graph: Graph
-    pairing: tuple[int, ...]
     cluster_of: tuple[int, ...]
 
 
@@ -81,5 +80,4 @@ def build_matching_double(ct: CTGraph) -> DoubledGraph:
     doubled = Graph(2 * n, adj)
     m = len(ct.skeleton.clusters)
     cluster_of = tuple(ct.cluster_of) + tuple(c + m for c in ct.cluster_of)
-    pairing = tuple(list(range(n, 2 * n)) + list(range(n)))
-    return DoubledGraph(graph=doubled, pairing=pairing, cluster_of=cluster_of)
+    return DoubledGraph(graph=doubled, cluster_of=cluster_of)

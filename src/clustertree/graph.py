@@ -160,16 +160,12 @@ class RootedSubgraph(NamedTuple):
     the view is a tree.
 
     ``graph`` is reindexed to dense local indices: ``nodes[i]`` is the
-    host index of local node ``i`` and ``depth[i]`` its distance from
-    the root. Nodes are sorted by (depth, host index), so ``nodes[0]``
-    is the root.
+    host index of local node ``i``. Nodes are sorted by (distance from
+    the root, host index), so ``nodes[0]`` is the root.
     """
 
     graph: Graph
-    root: int
-    k: int
     nodes: tuple[int, ...]
-    depth: tuple[int, ...]
 
     def is_tree(self) -> bool:
         # a ball around one root is connected
@@ -197,12 +193,11 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
         leaves = sorted(g.neighbors(v))
         d = len(leaves)
         star = Graph(d + 1, [tuple(range(1, d + 1))] + [(0,)] * d)
-        return RootedSubgraph(star, v, 1, (v, *leaves), (0,) + (1,) * d)
+        return RootedSubgraph(star, (v, *leaves))
     index = {v: 0}
     nodes = [v]
-    depth = [0]
     inner = 0  # nodes[:inner] lie below depth k
-    for d in range(1, k + 1):
+    for _ in range(k):
         layer = sorted(
             {w for u in nodes[inner:] for w in g.neighbors(u) if w not in index}
         )
@@ -212,7 +207,6 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
         for w in layer:
             index[w] = len(nodes)
             nodes.append(w)
-        depth.extend([d] * len(layer))
     # every view edge has an end below depth k, whose neighbours all lie
     # in the view; scanning those ends in order keeps each list sorted
     outer: list[list[int]] = [[] for _ in range(len(nodes) - inner)]
@@ -226,13 +220,7 @@ def k_hop_subgraph(g, v: int, k: int) -> RootedSubgraph:
     # depth-k nodes with equal neighbour lists share one tuple
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     adj.extend(shared.setdefault(t, t) for t in map(tuple, outer))
-    return RootedSubgraph(
-        graph=Graph(len(nodes), adj),
-        root=v,
-        k=k,
-        nodes=tuple(nodes),
-        depth=tuple(depth),
-    )
+    return RootedSubgraph(graph=Graph(len(nodes), adj), nodes=tuple(nodes))
 
 
 def _shortest_cycle_sweep(g: Graph, ceiling: int | float) -> int | float:

@@ -61,7 +61,6 @@ class PartialIsomorphism(NamedTuple):
     """A bijection between two views plus the audit trail that produced it."""
 
     forward: dict[int, int]
-    backward: dict[int, int]
     audit: Sequence[AuditRecord] = ()
 
     def special_case_count(self) -> int:
@@ -126,17 +125,17 @@ def _walk(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
         return out
 
     forward: dict[int, int] = {v0: v1}
-    backward: dict[int, int] = {v1: v0}
+    images: set[int] = {v1}
     audit: list[AuditRecord] = []
 
     def assign(a: int, b: int) -> None:
-        if a in forward or b in backward:
+        if a in forward or b in images:
             raise PairingFailureError(
                 f"node {a} or {b} would be paired twice; input is not a "
                 "high-girth CT graph"
             )
         forward[a] = b
-        backward[b] = a
+        images.add(b)
 
     def map_buckets(nv: list[list[int]], nw: list[list[int]]) -> bool:
         for i in range(width):
@@ -213,7 +212,7 @@ def _walk(ct, k: int, v0: int, v1: int) -> PartialIsomorphism:
             for vc in reversed(bucket):
                 stack.append((vc, forward[vc], v, w, depth - 1))
 
-    return PartialIsomorphism(forward=forward, backward=backward, audit=audit)
+    return PartialIsomorphism(forward=forward, audit=audit)
 
 
 def verify_isomorphism(

@@ -113,7 +113,7 @@ class View:
 
     @property
     def root_id(self) -> int:
-        return self._ids[self._t.root]
+        return self._ids[self._t.nodes[0]]
 
     def node_ids(self) -> tuple[int, ...]:
         return _getter(self._t.nodes)(self._ids)
@@ -666,15 +666,6 @@ class EdgePairCheck(NamedTuple):
     passed: bool
 
 
-class EdgeIndistReport(NamedTuple):
-    k: int
-    checks: tuple[EdgePairCheck, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _edge_view_canon(g: Graph, v: int, w: int, k: int) -> tuple[str, str]:
     """Canonical forms of the two halves of the union view of edge {v, w}.
 
@@ -703,7 +694,7 @@ def edge_indistinguishability_check(
     k: int,
     samples: int = 10,
     seed: int = 0,
-) -> EdgeIndistReport:
+) -> tuple[EdgePairCheck, ...]:
     """Compare union views of cluster-0/1 edges with the matched-copy edges.
 
     For sampled v0 in cluster 0, the edge to its unique cluster-1
@@ -721,8 +712,8 @@ def edge_indistinguishability_check(
         c1_nbrs = [w for w in g.adj[v0] if doubled.cluster_of[w] == 1]
         assert len(c1_nbrs) == 1
         v1 = c1_nbrs[0]
-        v0_bar = doubled.pairing[v0]
+        v0_bar = v0 + g.n // 2  # its partner in the copy
         a = _edge_view_canon(g, v0, v1, k)
         b = _edge_view_canon(g, v0, v0_bar, k)
         checks.append(EdgePairCheck(v0=v0, v1=v1, v0_bar=v0_bar, passed=a == b))
-    return EdgeIndistReport(k=k, checks=tuple(checks))
+    return tuple(checks)

@@ -87,7 +87,6 @@ def test_k_hop_zero_radius():
     sub = k_hop_subgraph(K3, 1, 0)
     assert sub.nodes == (1,)
     assert sub.graph.edge_count() == 0
-    assert sub.depth == (0,)
 
 
 def test_k_hop_triangle_excludes_far_edge():
@@ -115,14 +114,30 @@ def test_k_hop_is_tree_under_high_girth():
     assert sub.graph.edge_count() == len(sub.nodes) - 1
 
 
-def _host_view_adjacency(g, sub):
+def _host_view_adjacency(g, sub, k):
     """The view's local adjacency, built from the host's edges at the
-    nodes below depth k by the validating constructor."""
+    nodes below depth k by the validating constructor.
+
+    Host distances come from a BFS of its own, and pin the node order:
+    the view lists every node within k hops of its root, and no other,
+    sorted by (distance, host index)."""
+    root = sub.nodes[0]
+    dist = {root: 0}
+    frontier = [root]
+    for d in range(1, k + 1):
+        reached = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = d
+                    reached.append(w)
+        frontier = reached
+    assert list(sub.nodes) == sorted(dist, key=lambda u: (dist[u], u))
     index = {u: i for i, u in enumerate(sub.nodes)}
     edges = {
         tuple(sorted((i, index[w])))
         for i, u in enumerate(sub.nodes)
-        if sub.depth[i] < sub.k
+        if dist[u] < k
         for w in g.neighbors(u)
     }
     return Graph.from_edges(len(sub.nodes), sorted(edges)).adj
@@ -134,7 +149,8 @@ def test_shared_leaf_tuples_change_no_view(g14, g26):
     for k, tree in ((1, True), (2, False)):
         for v in picks:
             sub = k_hop_subgraph(g, v, k)
-            assert sub.graph.adj == _host_view_adjacency(g, sub)
+            assert sub.nodes[0] == v
+            assert sub.graph.adj == _host_view_adjacency(g, sub, k)
             assert sub.is_tree() is tree
     # at k = 1 every leaf of a view holds the one tuple (0,)
     star = k_hop_subgraph(g, picks[0], 1).graph.adj[1:]
@@ -144,7 +160,8 @@ def test_shared_leaf_tuples_change_no_view(g14, g26):
     for v in (lift.node(groups[0][0], 0), lift.node(groups[1][0], 1)):
         sub = k_hop_subgraph(lift, v, 2)
         assert len(sub.nodes) == 8078
-        assert sub.graph.adj == _host_view_adjacency(lift, sub)
+        assert sub.nodes[0] == v
+        assert sub.graph.adj == _host_view_adjacency(lift, sub, 2)
         assert sub.is_tree()
 
 
@@ -165,10 +182,8 @@ def _check_star(g, v):
     neighbours, the root's edges only, every leaf row the one ``(0,)``."""
     sub = k_hop_subgraph(g, v, 1)
     d = len(g.neighbors(v))
-    assert (sub.root, sub.k) == (v, 1)
     assert sub.nodes == (v,) + tuple(sorted(g.neighbors(v)))
-    assert sub.depth == (0,) + (1,) * d
-    assert sub.graph.adj == _host_view_adjacency(g, sub)
+    assert sub.graph.adj == _host_view_adjacency(g, sub, 1)
     assert sub.is_tree()
     leaves = sub.graph.adj[1:]
     assert all(t == (0,) for t in leaves)
@@ -197,7 +212,6 @@ def test_one_hop_view_is_the_root_star(g14, g16, g26):
             d = len(g.neighbors(v))
             star, ball = k_hop_subgraph(g, v, 1), k_hop_subgraph(g, v, 2)
             assert star.nodes == ball.nodes[: 1 + d]
-            assert star.depth == ball.depth[: 1 + d]
 
 
 def test_line_graph_examples():

@@ -743,7 +743,6 @@ def test_lift_views_match_materialized_views(voltage14):
             got = k_hop_subgraph(lift, x, k)
             want = k_hop_subgraph(ct.graph, x, k)
             assert got.nodes == want.nodes
-            assert got.depth == want.depth
             assert got.graph.adj == want.graph.adj
 
 

@@ -17,7 +17,6 @@ from clustertree.graph import Graph, GraphFile, k_hop_subgraph
 from clustertree.iso import AuditRecord, PartialIsomorphism
 from clustertree.lifts import CoveringMap
 from clustertree.localsim import (
-    EdgeIndistReport,
     EdgePairCheck,
     Labeling,
     measure_expectation,
@@ -89,7 +88,7 @@ def test_cli_import_loads_no_one_command_module():
 
 
 def _records() -> dict:
-    """A small instance of each of the 17 record types, by type name."""
+    """A small instance of each of the 16 record types, by type name."""
     g = Graph.from_edges(2, [(0, 1)])
     skel = build_skeleton(1, 4)
     walk = AuditRecord(
@@ -97,19 +96,17 @@ def _records() -> dict:
         history_v=None, history_w=None, bucket_lens_v=(1, 0),
         bucket_lens_w=(1, 0), case=None, special_case=False,
     )
-    check = EdgePairCheck(v0=0, v1=1, v0_bar=2, passed=True)
     violation = Violation("assignment", "unknown cluster ids [7]")
     records = [
-        DoubledGraph(graph=g, pairing=(1, 0), cluster_of=(0, 1)),
+        DoubledGraph(graph=g, cluster_of=(0, 1)),
         k_hop_subgraph(g, 0, 1),
         GraphFile(graph=g, clusters=(0, 1), meta={"k": 1}),
         walk,
-        PartialIsomorphism(forward={0: 1}, backward={1: 0}, audit=(walk,)),
+        PartialIsomorphism(forward={0: 1}, audit=(walk,)),
         CoveringMap(source=g, target=g, map=(0, 1)),
         Labeling.generate(3, 1),
         measure_expectation(g, 1, "skip-local-max", "vc", trials=2, seed=0),
-        check,
-        EdgeIndistReport(k=1, checks=(check,)),
+        EdgePairCheck(v0=0, v1=1, v0_bar=2, passed=True),
         skel.clusters[1],
         skel.edges[0],
         skel,
@@ -122,14 +119,14 @@ def _records() -> dict:
 
 
 RECORD_FIELDS = {
-    "DoubledGraph": ("graph", "pairing", "cluster_of"),
-    "RootedSubgraph": ("graph", "root", "k", "nodes", "depth"),
+    "DoubledGraph": ("graph", "cluster_of"),
+    "RootedSubgraph": ("graph", "nodes"),
     "GraphFile": ("graph", "clusters", "meta"),
     "AuditRecord": (
         "v", "w", "depth", "position_v", "position_w", "history_v",
         "history_w", "bucket_lens_v", "bucket_lens_w", "case", "special_case",
     ),
-    "PartialIsomorphism": ("forward", "backward", "audit"),
+    "PartialIsomorphism": ("forward", "audit"),
     "CoveringMap": ("source", "target", "map"),
     "Labeling": ("ids", "rng_seed"),
     "SimulationReport": (
@@ -137,7 +134,6 @@ RECORD_FIELDS = {
         "oracle", "ratio",
     ),
     "EdgePairCheck": ("v0", "v1", "v0_bar", "passed"),
-    "EdgeIndistReport": ("k", "checks"),
     "Cluster": ("id", "level", "position", "round", "parent", "parent_exponent"),
     "SkeletonEdge": ("a", "b", "exp_a", "exp_b"),
     "ClusterTreeSkeleton": ("k", "beta", "clusters", "edges"),
