@@ -389,12 +389,16 @@ def write_graph_json(
     never holds the edge list, a copy of ``clusters`` or the whole text.
 
     Relies on ``Graph``'s sorted rows: the edges (u, v) with u < v are
-    the tail of u's row after ``bisect_right(row, u)``, already in
-    order, and ``str`` of an int is the text json writes for it. A
-    block of clusters is written as ``json.dumps`` of the block without
-    its brackets, the text the whole array has for that stretch. The
-    length of ``clusters`` is checked, and ``meta`` encoded, before the
-    file is opened.
+    the ends of u's row after ``bisect_right(row, u)``, already in
+    order. Node u's piece is one ``%`` of a template that repeats
+    ``[u, %d]`` once per end, so the ints become text in C; rows hold
+    only ints (``from_edges`` rejects bools, and the trusted builders
+    make tuples of ints), and ``%d`` of an int is its ``str``, the text
+    json writes for it. Clusters come from the caller and may hold
+    other values, so a block of clusters is written as ``json.dumps``
+    of the block without its brackets, the text the whole array has
+    for that stretch. The length of ``clusters`` is checked, and
+    ``meta`` encoded, before the file is opened.
     """
     n = g.n
     if clusters is not None and len(clusters) != n:
@@ -404,14 +408,13 @@ def write_graph_json(
         fh.write(f'{{"n": {n}, "edges": [')
         sep = ""
         for lo in range(0, n, 512):
-            # one string per node: "[u, a], [u, b]" for its row's tail a, b
+            # one string per node: "[u, a], [u, b]" for the ends a, b past u
             pieces = []
             for u in range(lo, min(lo + 512, n)):
                 row = g.adj[u]
-                i = bisect_right(row, u)
-                if i < len(row):
-                    p = f"[{u}, "
-                    pieces.append(p + f"], {p}".join(map(str, row[i:])) + "]")
+                ends = row[bisect_right(row, u):]
+                if ends:
+                    pieces.append((f"[{u}, %d], " * len(ends))[:-2] % ends)
             if pieces:
                 fh.write(sep)
                 fh.write(", ".join(pieces))

@@ -546,7 +546,7 @@ def build_high_girth_ct(
     target = 2 * k + 1
     high = high_girth_regular(delta, target, _high_girth_min_m(delta, target))
     restricted, phi, _ = common_lift(super_graph, high, over=base)
-    cluster_of = tuple(low.cluster_of[t] for t in phi.map)
+    cluster_of = tuple(map(low.cluster_of.__getitem__, phi.map))
     ct = CTGraph(graph=restricted, skeleton=low.skeleton, cluster_of=cluster_of)
     return ct, phi
 

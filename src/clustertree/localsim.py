@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .builder import DoubledGraph
-from .errors import GirthTooLowError, NotATreeError, TooLargeError
+from .errors import GirthTooLowError, NotATreeError, NotBipartiteError, TooLargeError
 from .graph import Graph, RootedSubgraph, girth_at_least, k_hop_subgraph, members
 from .iso import canonical_form
 from .matching import bipartition, hopcroft_karp, koenig_cover
@@ -462,9 +462,11 @@ def exact_small(g: Graph, kind: str) -> int:
     dominating set are limited to 40 nodes; maximum matching uses
     augmenting paths on bipartite graphs and is limited otherwise.
     """
-    if kind == MAXM and g.two_coloring() is not None:
-        left = bipartition(g)
-        return len(hopcroft_karp(g, left)) // 2
+    if kind == MAXM:
+        try:
+            return len(hopcroft_karp(g, bipartition(g))) // 2
+        except NotBipartiteError:
+            pass
     if g.n > _EXACT_LIMIT:
         raise TooLargeError(f"{g.n} nodes exceeds the exact limit")
     solver = {VC: _mvc_branch_bound, DS: _mds_branch_bound, MAXM: _maxm_branch_bound}
@@ -499,8 +501,11 @@ def _oracle_optimum(g: Graph, kind: str) -> int | None:
     if kind == MIS:
         return None
     try:
-        if kind == VC and g.two_coloring() is not None:
-            return exact_mvc_bipartite(g)[0]
+        if kind == VC:
+            try:
+                return exact_mvc_bipartite(g)[0]
+            except NotBipartiteError:
+                pass
         return exact_small(g, MAXM if kind == MM else kind)
     except TooLargeError:
         return None

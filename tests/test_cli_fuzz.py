@@ -170,6 +170,26 @@ def test_pipeline_json_bytes_match_edge_list_document(tmp_path, pipeline14):
     assert text == edge_list_document(ct.graph, ct.cluster_of, meta)
 
 
+@pytest.mark.parametrize("shape", ["build16", "star600", "matching2000"])
+def test_long_and_short_row_ends_match_edge_list_document(tmp_path, g16, shape):
+    # the writer formats the ends of a row past its node with one template
+    # per node: rows of up to 256 ends in the (1,16) build, one node with
+    # 600 ends in a star, and 1,000 nodes with one end each, over 4 blocks
+    if shape == "build16":
+        g, clusters, meta = g16.graph, g16.cluster_of, {"k": 1, "beta": 16}
+        assert max(map(len, g.adj)) == 256
+    elif shape == "star600":
+        g = Graph.from_edges(601, [(0, v) for v in range(1, 601)])
+        clusters, meta = None, None
+    else:
+        edges = [(2 * i, 2 * i + 1) for i in range(1000)]
+        g, clusters, meta = Graph.from_edges(2000, edges), [0, 1] * 1000, None
+        assert g.n > 3 * BLOCK
+    path = tmp_path / f"{shape}.json"
+    write_graph_json(str(path), g, clusters, meta)
+    assert path.read_text(encoding="utf-8") == edge_list_document(g, clusters, meta)
+
+
 def test_pipeline_json_write_peak(tmp_path, pipeline14):
     # the writer holds one block's text at a time and builds no tuple
     # per edge: writing this 1.4 MB file peaks near 0.43 MB; a tuple per

@@ -588,6 +588,26 @@ def test_oracle_optimum_matches_reference_dispatch(small_corpus):
     assert {localsim._oracle_optimum(odd41, kind) for kind in localsim.KINDS} == {None}
 
 
+def test_bipartite_oracles_two_colour_once(monkeypatch, g14):
+    calls = []
+    two_coloring = Graph.two_coloring
+
+    def counted(self):
+        calls.append(self)
+        return two_coloring(self)
+
+    monkeypatch.setattr(Graph, "two_coloring", counted)
+    oracles = (lambda g: localsim._oracle_optimum(g, VC), lambda g: exact_small(g, MAXM))
+    for solve in oracles:
+        calls.clear()
+        assert solve(g14.graph) > 0
+        assert calls == [g14.graph]
+    # an odd cycle: VC falls through to branch and bound, MAXM too
+    c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert localsim._oracle_optimum(c5, VC) == 3
+    assert exact_small(c5, MAXM) == 2
+
+
 def test_mm_to_mvc_on_corpus(small_corpus):
     ratios = []
     for i, g in enumerate(small_corpus[:15]):
