@@ -258,7 +258,7 @@ def _cmd_simulate(args) -> int:
     )
     import platform  # only simulate reports the host
 
-    doc = report.to_json_dict()
+    doc = report._asdict()  # JSON writes the tuples as arrays
     doc["environment"] = {
         "python": platform.python_version(),
         # platform.platform() reads uname().processor, which runs `uname -p`

@@ -300,7 +300,8 @@ def unfold_view_tree(
     for _ in range(k):
         for node in layer:
             cid = clusters[node]
-            for exp, child_cluster in sorted(skel.out_label[cid].items()):
+            by_exp = sorted((x, c) for c, x in skel.out_exponent[cid].items())
+            for exp, child_cluster in by_exp:
                 count = beta**exp
                 if exp == exp_to_parent[node]:
                     count -= 1

@@ -31,6 +31,7 @@ from .errors import (
     DegreeMismatchError,
     EmptyGraphError,
     IterationLimitError,
+    NotBipartiteError,
     NotRegularError,
     SizeCapExceededError,
 )
@@ -124,7 +125,8 @@ def common_lift(
 ) -> tuple[Graph, CoveringMap, CoveringMap | None]:
     """Common lift of two regular graphs of the same degree.
 
-    Non-bipartite inputs are replaced by their canonical double covers.
+    A non-bipartite input, on which the decomposition raises
+    ``NotBipartiteError``, is replaced by its canonical double cover.
     Both bipartite graphs are decomposed into perfect matchings M_i and
     M'_i, and the lift lives on the node pairs: (v, w) and (v', w') are
     adjacent iff for some i, {v, v'} is in M_i and {w, w'} is in M'_i.
@@ -154,18 +156,18 @@ def common_lift(
     one shared int per lift node, taken from a tuple of ids per kept v,
     so a row entry costs a pointer, not an int of its own.
     """
-    def bipartite_stage(g: Graph) -> tuple[Graph, Sequence[int]]:
-        # the bipartite graph to decompose and its node map down to g
-        if g.two_coloring() is not None:
-            return g, range(g.n)
-        cover, cm = canonical_double_cover(g)
-        return cover, cm.map
+    def decompose(g: Graph) -> tuple[Graph, Sequence[int], list]:
+        # the bipartite graph decomposed, its node map down to g and its
+        # matchings; an odd cycle in g sends the decomposition to the cover
+        try:
+            return g, range(g.n), matching_decomposition(g)
+        except NotBipartiteError:
+            cover, cm = canonical_double_cover(g)
+            return cover, cm.map, matching_decomposition(cover)
 
-    b1, down1 = bipartite_stage(h)
-    b2, down2 = bipartite_stage(h_prime)
     # each decomposition checks regularity, and its matching count is the degree
-    m1 = matching_decomposition(b1)
-    m2 = matching_decomposition(b2)
+    b1, down1, m1 = decompose(h)
+    b2, down2, m2 = decompose(h_prime)
     if len(m1) != len(m2):
         raise DegreeMismatchError(f"degrees differ: {len(m1)} vs {len(m2)}")
     if (h.n == 0) != (h_prime.n == 0):

@@ -174,7 +174,8 @@ def mutual_edges(g: Graph, labeling: Labeling, outputs: list) -> list[tuple[int,
     """Edges both endpoints proposed (for matching algorithms).
 
     Each output is an iterable of proposed partner identifiers; an edge
-    joins u and v iff each named the other.
+    joins u and v iff each named the other. An identifier is an ``int``:
+    as in ``Graph.from_edges``, ``True`` and ``2.0`` name no node.
     """
     node_of = {node_id: v for v, node_id in enumerate(labeling.ids)}
     proposals: list[set[int]] = []
@@ -185,10 +186,7 @@ def mutual_edges(g: Graph, labeling: Labeling, outputs: list) -> list[tuple[int,
         except TypeError:
             pids = []  # non-iterable output counts as no proposal
         for pid in pids:
-            try:
-                w = node_of.get(pid)
-            except TypeError:
-                continue  # an unhashable id names no node
+            w = node_of.get(pid) if type(pid) is int else None
             if w is not None and g.has_edge(v, w):
                 chosen.add(w)
         proposals.append(chosen)
@@ -490,10 +488,6 @@ class SimulationReport(NamedTuple):
     all_valid: bool
     oracle: int | None
     ratio: float | None
-
-    def to_json_dict(self) -> dict:
-        # JSON writes the tuples as arrays
-        return self._asdict()
 
 
 def _oracle_optimum(g: Graph, kind: str) -> int | None:

@@ -69,24 +69,16 @@ class _SkeletonFields(NamedTuple):
 
 
 class ClusterTreeSkeleton(_SkeletonFields):
-    # no __slots__: the instance dict holds the cached tables
-
-    @cached_property
-    def out_label(self) -> dict[int, dict[int, int]]:
-        """cluster id -> {outgoing exponent -> neighbor cluster id}"""
-        table: dict[int, dict[int, int]] = {c.id: {} for c in self.clusters}
-        for e in self.edges:
-            table[e.a][e.exp_a] = e.b
-            table[e.b][e.exp_b] = e.a
-        return table
+    # no __slots__: the instance dict holds the cached table
 
     @cached_property
     def out_exponent(self) -> dict[int, dict[int, int]]:
         """cluster id -> {neighbor cluster id -> outgoing exponent}"""
-        return {
-            cid: {other: exp for exp, other in by_exp.items()}
-            for cid, by_exp in self.out_label.items()
-        }
+        table: dict[int, dict[int, int]] = {c.id: {} for c in self.clusters}
+        for e in self.edges:
+            table[e.a][e.b] = e.exp_a
+            table[e.b][e.a] = e.exp_b
+        return table
 
     def level_counts(self) -> list[int]:
         counts = [0] * (self.k + 2)

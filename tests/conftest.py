@@ -6,7 +6,7 @@ import pytest
 
 from clustertree.builder import build_low_girth
 from clustertree.graph import Graph
-from clustertree.lifts import high_girth_regular
+from clustertree.lifts import build_high_girth_ct, high_girth_regular
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +22,13 @@ def g16():
 @pytest.fixture(scope="session")
 def g26():
     return build_low_girth(2, 6)
+
+
+@pytest.fixture(scope="session")
+def lifted14():
+    """The (1,4) pipeline output and its covering map onto the base:
+    25,600 nodes, built once and shared, so no test may change them."""
+    return build_high_girth_ct(1, 4)
 
 
 @pytest.fixture(scope="session")

@@ -58,11 +58,6 @@ def _report(num: int, name: str, ok: bool, elapsed: float, limit: float) -> None
 
 
 @pytest.fixture(scope="module")
-def lifted14():
-    return build_high_girth_ct(1, 4)
-
-
-@pytest.fixture(scope="module")
 def base_pair_runs(g14):
     """All 64 x 16 coupled walks on the low-girth radius-1 instance."""
     runs = []

@@ -11,7 +11,6 @@ import pytest
 
 from clustertree.cli import dispatch
 from clustertree.graph import Graph, load_json, read_graph_json, write_graph_json
-from clustertree.lifts import build_high_girth_ct
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -154,10 +153,10 @@ def test_graph_json_bytes_match_edge_list_document(tmp_path_factory, case):
 
 
 @pytest.fixture(scope="module")
-def pipeline14():
+def pipeline14(lifted14):
     """The (1,4) pipeline output: 25,600 nodes, 50 blocks, all with
     edges, and the meta the CLI writes with it."""
-    ct, _ = build_high_girth_ct(1, 4)
+    ct, _ = lifted14
     return ct, {"k": 1, "beta": 4, "stage": "high-girth"}
 
 

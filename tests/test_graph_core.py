@@ -20,7 +20,7 @@ from clustertree.graph import (
     read_graph_json,
     write_graph_json,
 )
-from clustertree.lifts import VoltageLift, build_high_girth_ct
+from clustertree.lifts import VoltageLift
 
 K3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -318,10 +318,10 @@ def test_read_graph_json_leaves_the_collector_as_it_found_it(tmp_path, enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_read_graph_json_starts_no_collection(tmp_path):
+def test_read_graph_json_starts_no_collection(tmp_path, lifted14):
     # the (1,4) pipeline output decodes into 86,016 edge lists; with the
     # collector on, a read starts 144, 14 and 1 passes of generations 0-2
-    ct, _ = build_high_girth_ct(1, 4)
+    ct, _ = lifted14
     path = tmp_path / "p14.json"
     write_graph_json(str(path), ct.graph, ct.cluster_of, {"k": 1, "beta": 4})
     started: list[int] = []

@@ -14,7 +14,7 @@ from clustertree.iso import (
     unfold_view_tree,
     verify_isomorphism,
 )
-from clustertree.lifts import VoltageLift, build_high_girth_ct
+from clustertree.lifts import VoltageLift
 from clustertree.skeleton import CTGraph, INTERNAL, build_skeleton
 
 
@@ -89,9 +89,9 @@ def test_precondition_checks(g14, g26):
         find_isomorphism(g26, 2, 0, v1)
 
 
-def test_successful_walk_builds_no_view(monkeypatch, radius2_inputs, g26):
+def test_successful_walk_builds_no_view(monkeypatch, radius2_inputs, g26, lifted14):
     # the walk is its own tree test: views are built only when it fails
-    ct14, _ = build_high_girth_ct(1, 4)
+    ct14, _ = lifted14
     groups = ct14.cluster_nodes()
     lift, x0, x1 = radius2_inputs[1]
     calls = []

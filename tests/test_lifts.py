@@ -229,6 +229,27 @@ def test_common_lift_k4_k33():
     assert girth_at_least(lifted, 4)
 
 
+def test_common_lift_colours_each_input_once_before_decomposing(monkeypatch):
+    # the decomposition's bipartition alone chooses between an input and
+    # its double cover; the girth sweep colours each input once more, for
+    # its floor
+    coloured = []
+    two_coloring = Graph.two_coloring
+
+    def counted(self):
+        coloured.append(self)
+        return two_coloring(self)
+
+    monkeypatch.setattr(Graph, "two_coloring", counted)
+    common_lift(C6, C4)
+    assert [sum(g is x for g in coloured) for x in (C6, C4)] == [2, 2]
+    # K4 has odd cycles, so it still goes through its double cover
+    coloured.clear()
+    lifted, cm1, _ = common_lift(K4, K33)
+    assert lifted.n == 8 * 6 and cm1.target is K4
+    assert [sum(g is x for g in coloured) for x in (K4, K33)] == [2, 2]
+
+
 def test_common_lift_degree_mismatch():
     with pytest.raises(DegreeMismatchError):
         common_lift(K4, C5)
@@ -600,11 +621,6 @@ def test_supergraph_random_sweep():
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def lifted14(g14):
-    return build_high_girth_ct(1, 4)
 
 
 def test_pipeline_output_is_ct_graph(lifted14, g14):

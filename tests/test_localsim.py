@@ -480,6 +480,11 @@ def test_mutual_edges_tolerates_junk_outputs():
     a, b = lab.ids[0], lab.ids[1]
     assert mutual_edges(C4, lab, [[[b]], [[a]], (), ()]) == []
     assert mutual_edges(C4, lab, [[[b], b], [a, {a: 1}], (), ()]) == [(0, 1)]
+    # an id is an int: True and 2.0 do not stand for the ids 1 and 2
+    ids = Labeling(ids=(1, 2, 3, 4), rng_seed=0)
+    assert mutual_edges(C4, ids, [(2,), (True,), (), ()]) == []
+    assert mutual_edges(C4, ids, [(2.0,), (1.0,), (), ()]) == []
+    assert mutual_edges(C4, ids, [(2,), (1,), (), ()]) == [(0, 1)]
 
 
 # ---------------------------------------------------------------------------

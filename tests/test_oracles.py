@@ -31,7 +31,6 @@ from clustertree.iso import (
 from clustertree.lifts import (
     CoveringMap,
     VoltageLift,
-    build_high_girth_ct,
     canonical_double_cover,
     common_lift,
     high_girth_regular,
@@ -397,8 +396,8 @@ def test_two_coloring_matches_queue_bfs_and_networkx(g):
     assert (colors is not None) == nx.is_bipartite(to_nx(g))
 
 
-def test_two_coloring_matches_queue_bfs_on_pipeline_lift():
-    ct, _ = build_high_girth_ct(1, 4)
+def test_two_coloring_matches_queue_bfs_on_pipeline_lift(lifted14):
+    ct, _ = lifted14
     colors = ct.graph.two_coloring()
     assert colors is not None
     assert colors == reference_two_coloring(ct.graph)

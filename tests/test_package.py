@@ -169,7 +169,7 @@ def test_record_semantics_are_pinned(name, fields):
 def test_simulation_report_json_is_pinned():
     g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
     report = measure_expectation(g, 1, "skip-local-max", "vc", trials=2, seed=0)
-    assert json.dumps(report.to_json_dict()) == (
+    assert json.dumps(report._asdict()) == (
         '{"kind": "vc", "trials": 2, "sizes": [4, 3], "valid": [true, true], '
         '"mean": 3.5, "std": 0.7071067811865476, "all_valid": true, '
         '"oracle": 3, "ratio": 1.1666666666666667}'

@@ -105,7 +105,7 @@ def test_internal_clusters_have_full_exponent_range():
     for k, beta in ((2, 6), (3, 8), (4, 10)):
         skel = build_skeleton(k, beta)
         for c in skel.clusters:
-            exps = sorted(skel.out_label[c.id])
+            exps = sorted(skel.out_exponent[c.id].values())
             if c.position == INTERNAL:
                 assert exps == list(range(k + 1))
             else:
@@ -194,7 +194,7 @@ def test_skeleton_json_round_trip():
         assert back.k == skel.k and back.beta == skel.beta
         assert back.clusters == skel.clusters
         assert back.edges == skel.edges
-        assert back.out_label == skel.out_label
+        assert back.out_exponent == skel.out_exponent
 
 
 def single_field_edits(doc):
@@ -461,8 +461,8 @@ def reference_report(ct: CTGraph) -> str:
 
 
 @pytest.fixture(scope="module")
-def p14():
-    return build_high_girth_ct(1, 4)[0]
+def p14(lifted14):
+    return lifted14[0]
 
 
 def damaged_copies(ct: CTGraph, seed: int, count: int):
