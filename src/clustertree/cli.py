@@ -157,8 +157,8 @@ def _cmd_lift(args) -> int:
     elif args.op == "common-lift":
         h, h_prime = (read_graph_json(p).graph for p in (args.graph, args.graph2))
         size = sk.common_lift_order(h, h_prime)
-        if size > args.size_cap:
-            raise SizeCapExceededError(size, args.size_cap)
+        if size > lifts.DEFAULT_SIZE_CAP:
+            raise SizeCapExceededError(size, lifts.DEFAULT_SIZE_CAP)
         need = sk.common_lift_bytes(size, h.max_degree())
         if need > sk.MEMORY_BUDGET:
             raise ClusterTreeError(
@@ -172,9 +172,9 @@ def _cmd_lift(args) -> int:
         g = lifts.regular_supergraph(read_graph_json(args.graph).graph)
         what = f"{g.max_degree()}-regular supergraph with {g.n} nodes"
     elif args.op == "high-girth-regular":
-        # the output has exactly 2m nodes
-        if 2 * args.m > args.size_cap:
-            raise SizeCapExceededError(2 * args.m, args.size_cap)
+        # the output has exactly 2m nodes; the cap also keeps 2m printable
+        if 2 * args.m > lifts.DEFAULT_SIZE_CAP:
+            raise SizeCapExceededError(2 * args.m, lifts.DEFAULT_SIZE_CAP)
         if sk.high_girth_bytes(2 * args.m) > sk.MEMORY_BUDGET:
             raise ClusterTreeError(
                 f"a high-girth graph on {2 * args.m} nodes needs more than "
@@ -183,7 +183,7 @@ def _cmd_lift(args) -> int:
         g = lifts.high_girth_regular(args.delta, args.girth, args.m)
         what = f"{args.delta}-regular graph, girth {girth(g)},"
     else:  # pipeline
-        ct, cm = lifts.build_high_girth_ct(args.k, args.beta, args.size_cap)
+        ct, cm = lifts.build_high_girth_ct(args.k, args.beta)
         g, clusters = ct.graph, ct.cluster_of
         meta = {"k": args.k, "beta": args.beta, "stage": "high-girth"}
         maps = ((args.map_out, cm),)
@@ -336,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int)
     p.add_argument("--girth", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--size-cap", type=int, default=lifts.DEFAULT_SIZE_CAP)
     p.add_argument("--out", required=True)
     p.add_argument("--map-out")
     p.add_argument("--map2-out")

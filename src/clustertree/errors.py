@@ -32,7 +32,7 @@ class IterationLimitError(ClusterTreeError):
 
 
 class SizeCapExceededError(ClusterTreeError):
-    """The estimated output size exceeds the configured cap.
+    """The estimated output size exceeds the size cap.
 
     Carries ``estimate`` and ``cap`` so callers can decide what to do.
     An estimate from SIZE_LIMIT on, math.inf too, is not written out.

@@ -522,9 +522,7 @@ def high_girth_regular(delta: int, girth_target: int, m: int) -> Graph:
     return out
 
 
-def build_high_girth_ct(
-    k: int, beta: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> tuple[CTGraph, CoveringMap]:
+def build_high_girth_ct(k: int, beta: int) -> tuple[CTGraph, CoveringMap]:
     """Full pipeline: a CT graph of girth >= 2k+1 plus its covering map
     onto the low-girth instance.
 
@@ -535,11 +533,11 @@ def build_high_girth_ct(
     graph and a girth no lower than the CT graph's or the generator's.
     Cluster identities pull back along the covering map. Raises
     SizeCapExceededError (with the estimate) when the lift would have
-    more than ``size_cap`` nodes.
+    more than ``DEFAULT_SIZE_CAP`` nodes.
     """
     estimate = estimate_pipeline_size(k, beta)
-    if estimate > size_cap:
-        raise SizeCapExceededError(estimate, size_cap)
+    if estimate > DEFAULT_SIZE_CAP:
+        raise SizeCapExceededError(estimate, DEFAULT_SIZE_CAP)
 
     low = build_low_girth(k, beta)
     base = low.graph

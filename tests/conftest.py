@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import resource
+from pathlib import Path
 
 import pytest
 
+import clustertree
 from clustertree.builder import build_low_girth
 from clustertree.graph import Graph
 from clustertree.lifts import build_high_girth_ct, high_girth_regular
@@ -37,6 +41,19 @@ def high_girth_graphs():
     networkx girth oracle; (25, 3, 50) is the (1,5) pipeline's call."""
     params = ((16, 3, 32), (25, 3, 50), (4, 5, 80), (3, 6, 64), (3, 6, 62))
     return {p: high_girth_regular(*p) for p in params}
+
+
+def child_env() -> dict[str, str]:
+    """This environment, with the imported package's source directory
+    first on PYTHONPATH, for a child ``python -m clustertree``."""
+    src = str(Path(clustertree.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def limit_memory() -> None:
+    """A ``preexec_fn`` that limits the child's address space to 1 GB."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
 def make_random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -8,15 +8,15 @@ import importlib
 import importlib.util
 import inspect
 import json
-import os
 import subprocess
 import sys
 import types
 from pathlib import Path
 
-import clustertree
 from clustertree import graph, lifts
 from clustertree.cli import dispatch
+
+from conftest import child_env
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -104,9 +104,7 @@ def test_every_layer_records_calls_on_small_workloads(tmp_path):
                   "--seed", "0", "--report", str(tmp_path / "iso.json")],
         run.JOBS2: [*simulate, "--jobs", "2", "--report", str(tmp_path / "jobs2.json")],
     }
-    src = str(Path(clustertree.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = child_env()
     calls = {}
     for name, argv in workloads.items():
         spans = tmp_path / f"{name}.spans.json"

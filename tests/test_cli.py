@@ -2,22 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform
-import resource
 import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
-import clustertree
 from clustertree import iso, lifts
 from clustertree.cli import dispatch
 from clustertree.errors import PairingFailureError
 from clustertree.graph import Graph, write_graph_json
+
+from conftest import child_env, limit_memory
 
 # sha256 of CLI outputs for fixed seeds. A refactor must leave them
 # identical byte for byte; a change that alters one on purpose updates
@@ -85,14 +83,11 @@ def test_predict_refuses_n0_past_ten_thousand_digits():
     # n_0 = 6002^6001 has about 22,700 digits; building and printing the
     # exact sizes would take about 19 s, so the command runs in its own
     # process under a timeout
-    src = str(Path(clustertree.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "clustertree", "predict", "--k", "3000",
          "--beta", "6002"],
-        capture_output=True, text=True, env=env, timeout=30,
+        capture_output=True, text=True, env=child_env(), timeout=30,
     )
     assert time.perf_counter() - start < 2
     assert proc.returncode == 1 and proc.stdout == ""
@@ -394,11 +389,13 @@ def test_lift_high_girth_regular_cap_failure(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "error: estimated output size 200000000 exceeds cap 5000000\n"
     )
+    # the cap is a constant: no flag raises or lowers it
     code = run(
         ["lift", "--op", "high-girth-regular", "--delta", "3", "--girth", "5",
          "--m", "30", "--size-cap", "59", "--out", str(out)]
     )
-    assert code == 1
+    assert code == 2
+    assert "unrecognized arguments: --size-cap 59" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -431,13 +428,10 @@ def test_size_guards_end_at_once_on_astronomical_sizes(argv, tmp_path):
     # the pipeline and girth log2(delta - 1) bits for the generator; a
     # guard that builds it whole hangs, or fails to print it and exits 2,
     # so each case runs in its own process under a timeout
-    src = str(Path(clustertree.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = tmp_path / "x.json"
     proc = subprocess.run(
         [sys.executable, "-m", "clustertree", "lift", *argv, "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=30,
+        capture_output=True, text=True, env=child_env(), timeout=30,
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -473,26 +467,23 @@ HUGE_N = {"n": 1_000_000_000, "edges": []}
         # n_0 = beta^3 alone passes the 10^4300 size limit
         (["build", "--k", "1", "--beta", str(10**1500)], 1,
          f"error: the (1, {10**1500}) graph has more than 5000000 edges"),
+        # the smallest pipeline past the cap; (1,11) fits the 1 GiB budget
+        (["lift", "--op", "pipeline", "--k", "1", "--beta", "12"], 1,
+         "error: estimated output size 5999616 exceeds cap 5000000"),
     ],
     ids=["build-3-8", "build-4-10-double", "skeleton-12", "simulate-huge-n",
          "export-dot-huge-n", "simulate-trials", "high-girth-regular-4000000",
-         "build-1-10^1500"],
+         "build-1-10^1500", "pipeline-1-12"],
 )
 def test_size_refusals_end_at_once_under_a_memory_limit(tmp_path, argv, code, message):
     # unguarded, each of these builds until memory runs out, so each runs
     # in its own process under a timeout and a 1 GB address-space limit
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
     (tmp_path / "huge.json").write_text(json.dumps(HUGE_N))
-    src = str(Path(clustertree.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = "--report" if argv[0] == "simulate" else "--out"
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "clustertree", *argv, out, "x.out"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=30,
         preexec_fn=limit_memory,
     )
     assert time.perf_counter() - start < 2
@@ -509,17 +500,11 @@ def test_common_lift_refuses_past_the_cap_under_a_memory_limit(tmp_path):
     edges += [[v, v + n // 2] for v in range(n // 2)]
     (tmp_path / "m.json").write_text(json.dumps({"n": n, "edges": edges}))
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    src = str(Path(clustertree.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "clustertree", "lift", "--op", "common-lift",
          "--graph", "m.json", "--graph2", "m.json", "--out", "x.out"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=30,
         preexec_fn=limit_memory,
     )
     assert time.perf_counter() - start < 2
@@ -536,17 +521,11 @@ def test_common_lift_refuses_past_the_memory_budget_under_a_memory_limit(tmp_pat
     edges = [[i, 1000 + (i + j) % 1000] for i in range(1000) for j in range(50)]
     (tmp_path / "c.json").write_text(json.dumps({"n": 2000, "edges": edges}))
 
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    src = str(Path(clustertree.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "clustertree", "lift", "--op", "common-lift",
          "--graph", "c.json", "--graph2", "c.json", "--out", "x.out"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=30,
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path, timeout=30,
         preexec_fn=limit_memory,
     )
     assert time.perf_counter() - start < 2
@@ -628,9 +607,7 @@ def test_simulate_radius_past_the_diameter_ends_at_once(tmp_path):
     # hours, so each run is a child process under a timeout
     gpath = tmp_path / "g.json"
     assert run(["build", "--k", "1", "--beta", "4", "--out", str(gpath)]) == 0
-    src = str(Path(clustertree.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = child_env()
     reports = []
     for k in ("1000000000", "1000"):
         proc = subprocess.run(

@@ -18,6 +18,7 @@ from clustertree.errors import (
     SizeCapExceededError,
 )
 from clustertree.graph import (
+    DEFAULT_SIZE_CAP,
     INFINITE,
     Graph,
     girth,
@@ -686,12 +687,8 @@ def test_pipeline_size_cap():
         build_high_girth_ct(2, 6)
     assert exc.value.estimate >= exc.value.cap
     assert exc.value.estimate == estimate_pipeline_size(2, 6)
-
-
-def test_pipeline_explicit_cap_argument():
-    with pytest.raises(SizeCapExceededError) as exc:
-        build_high_girth_ct(1, 4, size_cap=10)
-    assert exc.value.cap == 10
+    # (1,11), the largest pipeline the cap admits, fits the memory budget
+    assert estimate_pipeline_size(1, 11) <= DEFAULT_SIZE_CAP
 
 
 # ---------------------------------------------------------------------------

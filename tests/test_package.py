@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import pickle
 import subprocess
 import sys
@@ -28,6 +27,8 @@ from clustertree.skeleton import (
     build_skeleton,
     predicted_sizes,
 )
+
+from conftest import child_env
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clustertree"
 
@@ -77,12 +78,9 @@ def test_cli_import_loads_no_one_command_module():
         "print(sorted({'dataclasses', 'inspect', 'statistics', 'platform'}"
         " & set(sys.modules)))\n"
     )
-    src = str(PACKAGE.parent)
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     out = subprocess.run(
         [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out == "[]\n"
 
