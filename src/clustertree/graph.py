@@ -15,6 +15,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import deque
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -57,12 +58,41 @@ class Graph:
         Rejects endpoints that are not ints (``type(u) is int`` keeps JSON
         booleans out), self-loops, duplicate edges and out-of-range
         endpoints.
+
+        Edges in writer order, the order ``write_graph_json`` and
+        :meth:`edges` give, take a short path: int ends with
+        ``0 <= u < v < n``, each edge strictly after the one before in
+        (u, v) order. While every edge keeps that order, no end is out of
+        range and no edge is a self-loop; strictly rising pairs never
+        repeat, and with u < v no edge comes again reversed. Each row
+        also fills in ascending order: row w first gets its ends u < w,
+        from the edges (u, w) in rising u, and then its ends v > w, from
+        the edges (w, v) in rising v. So each row is already sorted and
+        duplicate-free, and becomes its tuple as it is. From the first
+        edge out of that order on, every edge takes the three checks in
+        turn, and at the end the rows are sorted and scanned for
+        duplicates, so an error and its message do not depend on where
+        the order broke.
         """
         if n < 0:
             raise ValueError("node count must be nonnegative")
         # list rows while edges arrive, each a tuple once checked
         adj: list = [[] for _ in range(n)]
+        edges = iter(edges)
+        # the edge before; any edge with 0 <= u < v < n comes after (-1, n)
+        pu, pv = -1, n
         for u, v in edges:
+            if not (type(u) is int and type(v) is int
+                    and (pu < u < v < n or u == pu and pv < v < n)):
+                break
+            adj[u].append(v)
+            adj[v].append(u)
+            pu, pv = u, v
+        else:
+            for u in range(n):
+                adj[u] = tuple(adj[u])
+            return cls(n, adj)
+        for u, v in chain(((u, v),), edges):
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if u == v:
@@ -342,10 +372,12 @@ def graph_from_json_dict(doc) -> GraphFile:
     if not isinstance(edges, list):
         raise ValueError("'edges' must be a list of [u, v] integer pairs")
     clusters = doc.get("clusters")
+    # the type check comes first, so min compares only ints
     if clusters is not None and not (
         isinstance(clusters, list)
         and len(clusters) == n
-        and all(type(c) is int and c >= 0 for c in clusters)
+        and (not clusters
+             or set(map(type, clusters)) == {int} and min(clusters) >= 0)
     ):
         raise ValueError(f"'clusters' must hold {n} nonnegative integers")
     # a node needs a cluster entry or, past the cap, an edge end: a short
@@ -363,10 +395,10 @@ def graph_from_json_dict(doc) -> GraphFile:
             block = edges[lo:lo + 4096]
             # same length in and out, so nothing shifts
             edges[lo:lo + 4096] = [None] * len(block)
-            yield from block
+            yield block
 
     try:
-        g = Graph.from_edges(n, drained())
+        g = Graph.from_edges(n, chain.from_iterable(drained()))
     except (TypeError, ValueError) as exc:  # unpacking an entry raises either
         raise ValueError(f"bad 'edges' entry: {exc}") from None
     return GraphFile(

@@ -724,6 +724,9 @@ def _with_edge(doc, entry):
         ("simulate", lambda d: d, ["--trials", "0"], 2),
         ("export-dot --skeleton", lambda d: {"k": 1, "beta": 4, "clusters": {}},
          [], 2),
+        ("verify-iso", lambda d: {**d, "clusters": [True] + d["clusters"][1:]}, [], 2),
+        ("verify-iso", lambda d: {**d, "clusters": d["clusters"][:-1] + [-1]}, [], 2),
+        ("verify-iso", lambda d: {**d, "clusters": [1.5] + d["clusters"][1:]}, [], 2),
     ],
     ids=[
         "verify-iso-missing-n",
@@ -751,6 +754,9 @@ def _with_edge(doc, entry):
         "simulate-negative-k",
         "simulate-no-trials",
         "export-dot-skeleton-clusters-not-a-list",
+        "verify-iso-true-cluster",
+        "verify-iso-negative-cluster",
+        "verify-iso-float-cluster",
     ],
 )
 def test_malformed_input_ends_in_one_line_error(

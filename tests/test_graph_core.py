@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import gc
 import json
+import operator
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustertree import graph as graph_module
 from clustertree.builder import build_matching_double
@@ -50,6 +52,85 @@ def test_adjacency_sorted_and_edges_lexicographic():
     g = Graph.from_edges(4, [(3, 1), (0, 2), (0, 1)])
     assert g.adj[1] == (0, 3)
     assert g.edges() == [(0, 1), (0, 2), (1, 3)]
+    # the order breaks at the second edge, after one edge in writer order
+    assert Graph.from_edges(3, [(0, 2), (0, 1)]).adj == [(1, 2), (0,), (0,)]
+
+
+def reference_from_edges(n, edges):
+    """The rows ``Graph.from_edges`` gave before its writer-order path:
+    every edge checked in turn, then every row sorted and scanned."""
+    if n < 0:
+        raise ValueError("node count must be nonnegative")
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        adj[u].append(v)
+        adj[v].append(u)
+    for u, nbrs in enumerate(adj):
+        nbrs.sort()
+        if any(map(operator.eq, nbrs, nbrs[1:])):
+            w = next(a for a, b in zip(nbrs, nbrs[1:]) if a == b)
+            raise ValueError(f"duplicate edge {(min(u, w), max(u, w))}")
+        adj[u] = tuple(nbrs)
+    return adj
+
+
+@st.composite
+def edge_lists(draw):
+    """Simple edge lists on at most 12 nodes, in writer order or
+    shuffled, with now and then a duplicate (same or reversed), a
+    self-loop, an end out of range or an end that is not an int."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    node = st.integers(0, max(n - 1, 0))
+    bad = [
+        st.builds(lambda w: (w, w), node),
+        st.builds(lambda w: (w, n), node),
+        st.builds(lambda w: (-1, w), node),
+        st.builds(lambda w: (True, w), node),
+        st.builds(lambda w: (w, 2.0), node),
+    ]
+    if edges:
+        bad += [st.sampled_from(edges), st.sampled_from(edges).map(lambda e: e[::-1])]
+    for entry in draw(st.lists(st.one_of(bad), max_size=3)):
+        edges.insert(draw(st.integers(0, len(edges))), entry)
+    return n, edges
+
+
+def rows_or_message(build, n, edges):
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=edge_lists())
+def test_from_edges_matches_the_reference_build(case):
+    n, edges = case
+    expected = rows_or_message(reference_from_edges, n, edges)
+    # from an iterator, as the reader hands edges over
+    got = rows_or_message(lambda n, e: Graph.from_edges(n, iter(e)).adj, n, edges)
+    assert got == expected
+
+
+def test_writer_order_broken_in_a_later_block_reads_as_the_sorted_build(tmp_path):
+    edges = [[i, i + 1] for i in range(10_000)]
+    # edge 4,097, the first of the reader's second block, is the one
+    # that comes before its predecessor
+    edges[4095], edges[4096] = edges[4096], edges[4095]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 10_001, "edges": edges}))
+    got = read_graph_json(str(path)).graph.adj
+    assert got == Graph.from_edges(10_001, sorted(map(tuple, edges))).adj
 
 
 def test_girth_triangle():
@@ -254,6 +335,7 @@ BAD_EDGE_ENTRIES = {
     "out of range": ([[0, 5]], "edge (0, 5) out of range for n=5"),
     "negative": ([[-1, 0]], "edge (-1, 0) out of range for n=5"),
     "duplicate": ([[0, 1], [0, 1]], "duplicate edge (0, 1)"),
+    "reversed at once": ([[0, 1], [1, 0]], "duplicate edge (0, 1)"),
     "reversed duplicate": ([[2, 3], [1, 2], [3, 2]], "duplicate edge (2, 3)"),
     "three elements": ([[0, 1, 2]], "too many values to unpack (expected 2)"),
     "one element": ([[0]], "not enough values to unpack (expected 2, got 1)"),
