@@ -9,7 +9,6 @@ constructions are reproducible bit for bit.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import operator
@@ -475,24 +474,16 @@ def load_json(path: str):
 
 def read_graph_json(path: str) -> GraphFile:
     """Read the graph file at ``path``: :func:`load_json`, then
-    :func:`graph_from_json_dict`, with the cyclic garbage collector paused.
+    :func:`graph_from_json_dict`.
 
     A (1,5) pipeline output decodes into 310,000 edge lists that become
-    72,000 rows, and on the way the collector would run about 550 passes
-    over them for nothing: decoded JSON and the rows built from it hold
-    no cycle, so reference counting alone frees them. The pause is
-    process-wide for the length of one read. On the way out, on error
-    too, the collector is enabled again only if it was enabled on the
-    way in; a cycle that another thread makes meanwhile is collected
-    once it is back on.
+    72,000 rows. Decoded JSON and the rows built from it hold no cycle,
+    so reference counting alone frees them; with the cyclic collector
+    on, it would run about 550 passes over them during the read and one
+    more over the rows after it. The reader sets no collector policy of
+    its own: ``cli.dispatch`` pauses the collector for the whole command.
     """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return graph_from_json_dict(load_json(path))
-    finally:
-        if was_enabled:
-            gc.enable()
+    return graph_from_json_dict(load_json(path))
 
 
 _LEVEL_COLORS = (

@@ -87,8 +87,9 @@ def matching_decomposition(g: Graph) -> list[list[tuple[int, int]]]:
     remaining = [list(nbrs) for nbrs in g.adj]
     matchings: list[list[tuple[int, int]]] = []
     for _ in range(max(degs, default=0)):
-        stage = Graph(g.n, [tuple(nbrs) for nbrs in remaining])
-        mate = hopcroft_karp(stage, left)
+        # hopcroft_karp only reads the residual rows, and they are edited
+        # after it returns, so no round copies them
+        mate = hopcroft_karp(remaining, left)
         if len(mate) != g.n:
             raise ClusterTreeError(
                 "regular bipartite graph lost its perfect matching; bug"

@@ -356,7 +356,7 @@ def validate_solution(g: Graph, kind: str, solution) -> bool:
 def exact_mvc_bipartite(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact minimum vertex cover of a bipartite graph via matching."""
     left = bipartition(g)
-    mate = hopcroft_karp(g, left)
+    mate = hopcroft_karp(g.adj, left)
     cover = koenig_cover(g, left, mate)
     assert len(cover) == len(mate) // 2
     assert validate_solution(g, VC, cover)
@@ -462,7 +462,7 @@ def exact_small(g: Graph, kind: str) -> int:
     """
     if kind == MAXM:
         try:
-            return len(hopcroft_karp(g, bipartition(g))) // 2
+            return len(hopcroft_karp(g.adj, bipartition(g))) // 2
         except NotBipartiteError:
             pass
     if g.n > _EXACT_LIMIT:
@@ -503,6 +503,26 @@ def _oracle_optimum(g: Graph, kind: str) -> int | None:
         return exact_small(g, MAXM if kind == MM else kind)
     except TooLargeError:
         return None
+
+
+def _mean_and_std(sizes: tuple[int, ...]) -> tuple[float, float]:
+    """Mean and sample standard deviation (0.0 for one size) of ints,
+    each correctly rounded, so every Python gives the same floats.
+
+    The variance is the exact fraction (n·Σx² − (Σx)²) / (n(n − 1)). Its
+    integer square root, scaled to about 109 bits, is rounded to odd
+    (the last bit set when the root is inexact), so the one rounding to
+    float at the end is correct.
+    """
+    n, total = len(sizes), sum(sizes)
+    if n == 1:
+        return total / n, 0.0
+    num = n * sum(x * x for x in sizes) - total * total
+    den = n * (n - 1)
+    s = max(0, 109 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * s
+    root = math.isqrt(scaled // den)
+    return total / n, (root | (root * root * den != scaled)) / (1 << s)
 
 
 def measure_expectation(
@@ -559,13 +579,9 @@ def measure_expectation(
         results = list(map(partial(_one_trial, g, k, algorithm, kind), trial_seeds))
         oracle = _oracle_optimum(g, kind)
 
-    # statistics pulls in decimal and fractions; only simulate needs it
-    import statistics
-
     sizes = tuple(r[0] for r in results)
     valid = tuple(r[1] for r in results)
-    mean = statistics.fmean(sizes)
-    std = statistics.stdev(sizes) if trials > 1 else 0.0
+    mean, std = _mean_and_std(sizes)
     all_valid = all(valid)
     ratio = None
     if all_valid and oracle not in (None, 0):

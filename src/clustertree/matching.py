@@ -7,26 +7,27 @@ is sorted, so the matchings extracted here are reproducible.
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 from .errors import NotBipartiteError
 from .graph import Graph
 
 
-def hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
-    """Maximum matching of a bipartite graph.
+def hopcroft_karp(adj: Sequence[Sequence[int]], left: list[int]) -> dict[int, int]:
+    """Maximum matching of a bipartite graph given by its adjacency rows
+    (a :class:`Graph`'s ``adj``, or rows a caller edits between calls).
 
-    ``left`` is one side of a bipartition (every edge of ``g`` must have
-    exactly one endpoint in it). Returns the matching as a node -> mate
-    map containing both directions.
+    ``left`` is one side of a bipartition (every edge must have exactly
+    one endpoint in it). Returns the matching as a node -> mate map
+    containing both directions.
 
     ``mate`` and ``dist`` are flat per-node lists; -1 stands for no mate,
     and for a left node outside the current BFS layers or found to be a
     dead end. Each phase is one BFS from the unmatched left nodes, then
     one augmenting search from each of them in ``left``'s order.
     """
-    adj = g.adj
-    mate = [-1] * g.n
-    dist = [-1] * g.n
+    mate = [-1] * len(adj)
+    dist = [-1] * len(adj)
 
     def bfs() -> bool:
         queue = []

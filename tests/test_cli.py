@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import platform
@@ -10,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from clustertree import iso, lifts
+from clustertree import cli, iso, lifts
 from clustertree.cli import dispatch
 from clustertree.errors import PairingFailureError
 from clustertree.graph import Graph, write_graph_json
@@ -658,6 +659,120 @@ def test_unknown_command_exits_2():
 
 def test_missing_required_flag_exits_2():
     assert run(["skeleton", "--k", "1"]) == 2
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_dispatch_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, capsys, enabled
+):
+    # the collector is off from argument parsing through the command, and
+    # on every way out it is as it was on entry
+    seen: list[bool] = []
+
+    def spy(fn):
+        def wrapper(*args):
+            seen.append(gc.isenabled())
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_parser", spy(cli.build_parser))
+    monkeypatch.setattr(cli, "read_graph_json", spy(cli.read_graph_json))
+    plain = tmp_path / "plain.json"
+    write_graph_json(str(plain), Graph.from_edges(2, [(0, 1)]))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("[0, 1]")
+    verify = ["verify-iso", "--k", "1", "--v0", "0", "--v1", "1", "--graph"]
+    cases = [
+        (["predict", "--k", "1", "--beta", "4"], 0, 1),
+        ([*verify, str(plain)], 1, 2),  # ClusterTreeError: no clusters
+        ([*verify, str(malformed)], 2, 2),  # ValueError
+        ([*verify, str(tmp_path / "missing.json")], 2, 2),  # OSError
+        (["verify-iso", "--k", "1"], 2, 1),  # argparse: no --graph
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for argv, code, spied in cases:
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            assert run(argv) == code, argv
+            assert seen == [False] * spied, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.fixture(scope="module")
+def lifted14_file(tmp_path_factory, lifted14):
+    """The (1,4) pipeline output as the CLI writes it."""
+    ct, _ = lifted14
+    path = tmp_path_factory.mktemp("p14") / "p14.json"
+    write_graph_json(str(path), ct.graph, ct.cluster_of, {"k": 1, "beta": 4})
+    return str(path)
+
+
+def test_verify_iso_starts_no_collection(capsys, lifted14_file):
+    # the (1,4) pipeline output decodes into 86,016 edge lists; with the
+    # collector on, a read alone starts 144, 14 and 1 passes of
+    # generations 0-2
+    argv = ["verify-iso", "--graph", lifted14_file, "--k", "1", "--all-pairs-sample", "3"]
+    started: list[int] = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        code = run(argv)
+        # taken before anything that allocates, which may start a pass
+        during = len(started)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == 0, [started.count(gen) for gen in range(3)]
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["success"] is True
+
+
+def _cycles_left_by(argv) -> int:
+    """How many unreachable objects one in-process dispatch of ``argv``
+    leaves for the collector."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert run(argv) == 0, argv
+        return gc.collect()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize(
+    "command, jobs",
+    [("simulate", "1"), ("simulate", "2"), ("verify-iso", None)],
+    ids=["simulate", "simulate-jobs2", "verify-iso"],
+)
+def test_dispatch_leaves_no_cycles_that_grow_with_work(
+    tmp_path, capsys, lifted14_file, command, jobs
+):
+    # dispatch pauses the collector for the whole command, so a cycle made
+    # per trial or per pair would pile up until the command returns; the
+    # cycles left behind (argparse's parser) must not depend on the count
+    if command == "simulate":
+        path = tmp_path / "g.json"
+        assert run(["build", "--k", "1", "--beta", "4", "--out", str(path)]) == 0
+        base = ["simulate", "--graph", str(path), "--k", "1",
+                "--alg", "skip-local-max", "--kind", "vc", "--jobs", jobs,
+                "--trials"]
+    else:
+        base = ["verify-iso", "--graph", lifted14_file, "--k", "1",
+                "--all-pairs-sample"]
+    _cycles_left_by([*base, "2"])  # warm-up: caches and first imports
+    small = _cycles_left_by([*base, "2"])
+    large = _cycles_left_by([*base, "40"])
+    assert small == large > 0
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import json
 import operator
 import random
@@ -377,53 +376,6 @@ def test_first_bad_edge_entry_is_reported_across_blocks(
     with pytest.raises(ValueError) as info:
         read_graph_json(str(path))
     assert str(info.value) == f"bad 'edges' entry: {message}"
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
-def test_read_graph_json_leaves_the_collector_as_it_found_it(tmp_path, enabled):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text("[0, 1]")
-    was_enabled = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        assert read_graph_json(str(good)).graph.edges() == [(0, 1), (1, 2)]
-        assert gc.isenabled() is enabled
-        with pytest.raises(ValueError):
-            read_graph_json(str(malformed))
-        assert gc.isenabled() is enabled
-        with pytest.raises(OSError):
-            read_graph_json(str(tmp_path / "missing.json"))
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-
-
-def test_read_graph_json_starts_no_collection(tmp_path, lifted14):
-    # the (1,4) pipeline output decodes into 86,016 edge lists; with the
-    # collector on, a read starts 144, 14 and 1 passes of generations 0-2
-    ct, _ = lifted14
-    path = tmp_path / "p14.json"
-    write_graph_json(str(path), ct.graph, ct.cluster_of, {"k": 1, "beta": 4})
-    started: list[int] = []
-
-    def count(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
-
-    was_enabled = gc.isenabled()
-    gc.enable()
-    gc.callbacks.append(count)
-    try:
-        gf = read_graph_json(str(path))
-        # taken before anything that allocates, which may start a pass
-        during = len(started)
-    finally:
-        gc.callbacks.remove(count)
-        (gc.enable if was_enabled else gc.disable)()
-    assert during == 0, [started.count(gen) for gen in range(3)]
-    assert gf.graph.adj == ct.graph.adj
 
 
 def test_json_meta_must_be_an_object():

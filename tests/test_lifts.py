@@ -97,7 +97,7 @@ def test_hopcroft_karp_long_augmenting_path(monkeypatch):
         raise AssertionError("hopcroft_karp changed the recursion limit")
 
     monkeypatch.setattr(sys, "setrecursionlimit", forbid)
-    mate = hopcroft_karp(path, [*range(2, n, 2), 0])
+    mate = hopcroft_karp(path.adj, [*range(2, n, 2), 0])
     assert len(mate) == n
     assert all(mate[u] == u + 1 and mate[u + 1] == u for u in range(0, n, 2))
 

@@ -10,6 +10,7 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clustertree import localsim
 from clustertree.builder import build_matching_double
@@ -341,6 +342,17 @@ def test_measure_expectation_reproducible(g14):
     assert a == b
     assert a.std == 0.0
     assert a.all_valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10**12), min_size=1, max_size=60))
+def test_mean_and_std_match_statistics(sizes):
+    # statistics is the oracle: fmean is correctly rounded for these sums
+    # (below 2**53), and stdev is correctly rounded from Python 3.11 on
+    mean, std = localsim._mean_and_std(tuple(sizes))
+    assert repr(mean) == repr(statistics.fmean(sizes))
+    expected = statistics.stdev(sizes) if len(sizes) > 1 else 0.0
+    assert repr(std) == repr(expected)
 
 
 def test_measure_expectation_rejects_unknown_name(g14, monkeypatch):

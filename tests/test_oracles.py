@@ -226,7 +226,7 @@ def test_hopcroft_karp_size_matches_networkx():
     ]
     for g in graphs:
         top = [v for v, c in enumerate(g.two_coloring()) if c == 0]
-        mate = hopcroft_karp(g, top)
+        mate = hopcroft_karp(g.adj, top)
         assert all(mate[mate[u]] == u and mate[u] in g.adj[u] for u in mate)
         assert len(mate) == len(nx.bipartite.hopcroft_karp_matching(to_nx(g), top))
 
@@ -239,7 +239,7 @@ def test_matching_decomposition_partitions_edges():
         assert sorted(e for m in ms for e in m) == g.edges()
 
 
-def reference_hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
+def reference_hopcroft_karp(adj, left: list[int]) -> dict[int, int]:
     """The dict-and-``float("inf")`` Hopcroft-Karp that the flat-list one
     replaced: the same phases, BFS and augmenting search."""
     inf = float("inf")
@@ -257,7 +257,7 @@ def reference_hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
         found = False
         while queue:
             u = queue.popleft()
-            for w in g.adj[u]:
+            for w in adj[u]:
                 nxt = mate.get(w)
                 if nxt is None:
                     found = True
@@ -267,7 +267,7 @@ def reference_hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
         return found
 
     def augment(root: int) -> None:
-        stack = [(root, iter(g.adj[root]))]
+        stack = [(root, iter(adj[root]))]
         path: list[int] = []
         while stack:
             u, nbrs = stack[-1]
@@ -281,7 +281,7 @@ def reference_hopcroft_karp(g: Graph, left: list[int]) -> dict[int, int]:
                     return
                 if dist[nxt] == dist[u] + 1:
                     path.append(w)
-                    stack.append((nxt, iter(g.adj[nxt])))
+                    stack.append((nxt, iter(adj[nxt])))
                     break
             else:
                 dist[u] = inf
@@ -316,7 +316,7 @@ def bipartite_graphs(draw):
 @hypothesis.example(case=(Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), [1, 2, 3]))
 def test_hopcroft_karp_matches_dict_reference(case):
     g, left = case
-    assert hopcroft_karp(g, left) == reference_hopcroft_karp(g, left)
+    assert hopcroft_karp(g.adj, left) == reference_hopcroft_karp(g.adj, left)
 
 
 def test_matching_decomposition_matches_dict_reference_on_pipeline_bases(

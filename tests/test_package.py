@@ -33,11 +33,12 @@ from conftest import child_env
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clustertree"
 
 
-def test_runtime_imports_only_stdlib():
-    # networkx and hypothesis are test extras; the library needs neither
+def _imports() -> list[tuple[str, str]]:
+    """(module file name, imported absolute module) for every import in
+    the package's source."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
-    outside = []
+    found = []
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -46,32 +47,34 @@ def test_runtime_imports_only_stdlib():
                 names = [node.module]
             else:
                 continue
-            outside += [
-                f"{path.name}: {name}"
-                for name in names
-                if name.partition(".")[0] not in sys.stdlib_module_names
-            ]
+            found += [(path.name, name) for name in names]
+    return found
+
+
+def test_runtime_imports_only_stdlib():
+    # networkx and hypothesis are test extras; the library needs neither
+    outside = [
+        f"{file}: {name}"
+        for file, name in _imports()
+        if name.partition(".")[0] not in sys.stdlib_module_names
+    ]
     assert outside == []
 
 
 def test_no_module_imports_dataclasses():
     # the records are NamedTuples; dataclasses pulls in inspect and ast
-    importers = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            importers += [path.name for name in names if name == "dataclasses"]
-    assert importers == []
+    assert [file for file, name in _imports() if name == "dataclasses"] == []
+
+
+def test_only_the_cli_imports_gc():
+    # the collector policy is one pause, for the whole command, in
+    # cli.dispatch
+    assert [file for file, name in _imports() if name == "gc"] == ["cli.py"]
 
 
 def test_cli_import_loads_no_one_command_module():
-    # statistics is read only by simulate's report, platform only by its
-    # environment; neither loads until then
+    # no module reads statistics, and platform is read only by
+    # simulate's environment, so it does not load until then
     code = (
         "import sys\n"
         "import clustertree.cli\n"
