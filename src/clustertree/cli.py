@@ -1,7 +1,11 @@
 """Command-line entry point.
 
 Thin adapters only: argument parsing, file I/O, and calls into the
-library. Exit codes: 0 success, 1 validation failure, 2 usage error.
+library. Each command is a generator that yields its exit code once,
+after its output is written, and stays suspended, so what it built
+outlives it until the caller lets it go (:func:`dispatch`) or the
+process ends (:func:`main`). Exit codes: 0 success, 1 validation
+failure, 2 usage error.
 All randomness flows from a single --seed flag (default 0, never
 entropy), so runs are reproducible.
 """
@@ -11,12 +15,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import random
 import sys
+from collections.abc import Iterator
 
 from . import builder, iso, lifts, localsim, skeleton as sk
 from .errors import ClusterTreeError, SizeCapExceededError
 from .graph import (
+    GraphFile,
     girth,
     graph_to_dot,
     read_graph_json,
@@ -28,6 +35,23 @@ def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _read_graph(path: str) -> GraphFile:
+    """:func:`read_graph_json`, after the file's size is priced: a file
+    whose read would need more than ``MEMORY_BUDGET`` is refused before
+    it is opened."""
+    try:
+        size = os.stat(path).st_size
+    except OSError:
+        size = 0  # the reader's open raises the same error
+    need = sk.graph_read_bytes(size)
+    if need > sk.MEMORY_BUDGET:
+        raise ClusterTreeError(
+            f"reading {path} ({size:,} bytes) needs about {need >> 20} MiB, "
+            f"more than {sk.MEMORY_BUDGET >> 20} MiB"
+        )
+    return read_graph_json(path)
 
 
 def _meta_skeleton(gf, path: str) -> sk.ClusterTreeSkeleton:
@@ -45,7 +69,7 @@ def _meta_skeleton(gf, path: str) -> sk.ClusterTreeSkeleton:
 
 
 def _load_ct(path: str) -> sk.CTGraph:
-    gf = read_graph_json(path)
+    gf = _read_graph(path)
     if gf.clusters is None:
         raise ClusterTreeError(f"{path} lacks cluster assignments")
     skel = _meta_skeleton(gf, path)
@@ -57,7 +81,7 @@ def _load_ct(path: str) -> sk.CTGraph:
     return sk.CTGraph(graph=gf.graph, skeleton=skel, cluster_of=gf.clusters)
 
 
-def _cmd_skeleton(args) -> int:
+def _cmd_skeleton(args) -> Iterator[int]:
     sk._require_beta(args.k, args.beta)
     try:
         sk.require_cluster_room(args.k, lifts.DEFAULT_SIZE_CAP)
@@ -69,10 +93,10 @@ def _cmd_skeleton(args) -> int:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(sk.skeleton_to_dot(skel))
     print(f"wrote skeleton with {len(skel.clusters)} clusters to {args.out}")
-    return 0
+    yield 0
 
 
-def _cmd_build(args) -> int:
+def _cmd_build(args) -> Iterator[int]:
     k, beta, cap = args.k, args.beta, lifts.DEFAULT_SIZE_CAP
     if sk.root_edge_count(k, beta) > cap:
         raise ClusterTreeError(f"the ({k}, {beta}) graph has more than {cap} edges")
@@ -84,10 +108,10 @@ def _cmd_build(args) -> int:
     g = ct.graph
     write_graph_json(args.out, g, ct.cluster_of, meta)
     print(f"wrote graph with {g.n} nodes / {g.edge_count()} edges to {args.out}")
-    return 0
+    yield 0
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> Iterator[int]:
     # n_0 = beta^(2k+1) and the sizes below it are printed in full; one of
     # over 10,000 digits (k = 2000: 14,400) takes seconds, so refuse it
     digits = sk.n0_digits(args.k, args.beta)
@@ -123,7 +147,7 @@ def _cmd_predict(args) -> int:
             print(f"clusters by level: {doc['cluster_counts']}")
     finally:
         sys.set_int_max_str_digits(limit)
-    return 0
+    yield 0
 
 
 # the lift ops and the input flags each one reads
@@ -137,26 +161,26 @@ _LIFT_INPUTS = {
 }
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> Iterator[int]:
     missing = [
         f"--{name}" for name in _LIFT_INPUTS[args.op] if getattr(args, name) is None
     ]
     if missing:
         raise ValueError(f"lift --op {args.op} needs {' and '.join(missing)}")
+    # each op writes one file and prints one line; the graph ops write
+    # their graph and maps after the chain
+    clusters, meta, maps = None, {"stage": args.op}, ()
     if args.op == "matching-decomposition":
-        g = read_graph_json(args.graph).graph
+        g = _read_graph(args.graph).graph
         matchings = lifts.matching_decomposition(g)
         _write_json(args.out, matchings)  # json writes each pair as an array
-        print(f"wrote {len(matchings)} perfect matchings to {args.out}")
-        return 0
-    # the graph ops below write one graph, its maps and one line
-    clusters, meta, maps = None, {"stage": args.op}, ()
-    if args.op == "double-cover":
-        g, cm = lifts.canonical_double_cover(read_graph_json(args.graph).graph)
+        what = f"{len(matchings)} perfect matchings"
+    elif args.op == "double-cover":
+        g, cm = lifts.canonical_double_cover(_read_graph(args.graph).graph)
         maps = ((args.map_out, cm),)
         what = f"double cover with {g.n} nodes"
     elif args.op == "common-lift":
-        h, h_prime = (read_graph_json(p).graph for p in (args.graph, args.graph2))
+        h, h_prime = (_read_graph(p).graph for p in (args.graph, args.graph2))
         size = sk.common_lift_order(h, h_prime)
         if size > lifts.DEFAULT_SIZE_CAP:
             raise SizeCapExceededError(size, lifts.DEFAULT_SIZE_CAP)
@@ -170,7 +194,7 @@ def _cmd_lift(args) -> int:
         maps = ((args.map_out, cm1), (args.map2_out, cm2))
         what = f"common lift with {g.n} nodes"
     elif args.op == "supergraph":
-        g = lifts.regular_supergraph(read_graph_json(args.graph).graph)
+        g = lifts.regular_supergraph(_read_graph(args.graph).graph)
         what = f"{g.max_degree()}-regular supergraph with {g.n} nodes"
     elif args.op == "high-girth-regular":
         # the output has exactly 2m nodes; the cap also keeps 2m printable
@@ -189,15 +213,16 @@ def _cmd_lift(args) -> int:
         meta = {"k": args.k, "beta": args.beta, "stage": "high-girth"}
         maps = ((args.map_out, cm),)
         what = f"lifted CT graph with {g.n} nodes"
-    write_graph_json(args.out, g, clusters, meta)
+    if args.op != "matching-decomposition":
+        write_graph_json(args.out, g, clusters, meta)
     for path, cm in maps:
         if path:
             _write_json(path, {"map": list(cm.map)})
     print(f"wrote {what} to {args.out}")
-    return 0
+    yield 0
 
 
-def _cmd_verify_iso(args) -> int:
+def _cmd_verify_iso(args) -> Iterator[int]:
     if (args.v0 is None) != (args.v1 is None):
         raise ValueError("--v0 and --v1 go together")
     if args.v0 is None and args.all_pairs_sample is None:
@@ -238,16 +263,16 @@ def _cmd_verify_iso(args) -> int:
     if args.report:
         _write_json(args.report, doc)
     print(json.dumps(doc))
-    return 0 if success else 1
+    yield 0 if success else 1
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> Iterator[int]:
     if args.trials > sk.MAX_TRIALS:
         raise ClusterTreeError(
             f"{args.trials} trials are more than the {sk.MAX_TRIALS} whose "
             f"results fit in {sk.MEMORY_BUDGET >> 20} MiB"
         )
-    gf = read_graph_json(args.graph)
+    gf = _read_graph(args.graph)
     report = localsim.measure_expectation(
         gf.graph,
         args.k,
@@ -275,15 +300,15 @@ def _cmd_simulate(args) -> int:
         _write_json(args.report, doc)
     summary = {k: doc[k] for k in ("kind", "trials", "mean", "std", "all_valid", "ratio")}
     print(json.dumps(summary))
-    return 0 if report.all_valid else 1
+    yield 0 if report.all_valid else 1
 
 
-def _cmd_export_dot(args) -> int:
+def _cmd_export_dot(args) -> Iterator[int]:
     if args.skeleton:
         skel = sk.read_skeleton_json(args.skeleton)
         text = sk.skeleton_to_dot(skel)
     else:
-        gf = read_graph_json(args.graph)
+        gf = _read_graph(args.graph)
         levels = None
         if gf.clusters and gf.meta and "k" in gf.meta:
             skel = _meta_skeleton(gf, args.graph)
@@ -294,7 +319,7 @@ def _cmd_export_dot(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text)
     print(f"wrote DOT to {args.out}")
-    return 0
+    yield 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,6 +398,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(argv) -> tuple[int, Iterator[int] | None]:
+    """Parse ``argv`` and run its command up to the exit code it yields.
+
+    Returns the code and the command, suspended at its ``yield`` with
+    every file it wrote closed and its line printed; its frame still
+    holds what it read and built. After an argparse exit or a one-line
+    error the command is None.
+    """
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return (exc.code if isinstance(exc.code, int) else 2), None
+    command = args.fn(args)
+    try:
+        return next(command), command
+    except ClusterTreeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1, None
+    except (ValueError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2, None
+
+
 def dispatch(argv) -> int:
     """Run one command and return its exit code, with the cyclic garbage
     collector paused from before argument parsing until the return.
@@ -380,32 +429,40 @@ def dispatch(argv) -> int:
     Decoded JSON, graph rows, views and trials hold no cycle, so
     reference counting frees them and no collector pass need walk them
     (one would walk the 72,000 rows of the (1,5) output after its read).
-    Forked pool workers inherit the pause. On every way out the collector
-    is enabled again only if it was enabled on entry.
+    The command's working set is freed here, before the collector runs
+    again. Forked pool workers inherit the pause. On every way out the
+    collector is enabled again only if it was enabled on entry.
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-        try:
-            return args.fn(args)
-        except ClusterTreeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, OSError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
+        code, command = _run(argv)
+        del command  # its working set goes while the collector is paused
+        return code
     finally:
         if was_enabled:
             gc.enable()
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    """Run the command named by ``sys.argv`` and end the process.
+
+    The process ends through ``os._exit`` with the command still
+    suspended, so neither its working set nor the interpreter is torn
+    down object by object: the OS reclaims the memory at once. Nothing
+    registered with ``atexit`` runs. Standard output and error are
+    flushed first; one that cannot be written ends in status 120 with no
+    traceback, the status the interpreter's own exit gives.
+    """
+    gc.disable()
+    code, command = _run(sys.argv[1:])  # command stays alive until os._exit
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when its descriptor was closed at start
+            try:
+                stream.flush()
+            except OSError:
+                code = 120
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -274,6 +274,15 @@ def high_girth_bytes(order: int) -> int:
     return order**3 // 14
 
 
+def graph_read_bytes(file_bytes: int) -> int:
+    """About the peak bytes a command takes to read a graph file of
+    ``file_bytes``: 10.5 per byte. ``verify-iso --k 1`` on the (1,6),
+    (1,7) and (1,8) pipeline outputs (14 to 83 MiB) peaked at 12.5, 11.0
+    and 10.5 times the file size; the interpreter's own 20 MiB is most
+    of the excess on the smaller files."""
+    return file_bytes * 21 // 2
+
+
 # bytes simulate keeps per trial for its report: ru_maxrss grew by 90 a
 # trial serially, and with --jobs 2 by 200 in the parent and 360 in the
 # pool workers, over 100,000 to 300,000 trials with sizes below 257,

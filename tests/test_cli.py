@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from clustertree import cli, iso, lifts
+from clustertree import cli, iso, lifts, localsim
 from clustertree.cli import dispatch
 from clustertree.errors import PairingFailureError
 from clustertree.graph import Graph, write_graph_json
@@ -441,6 +442,7 @@ def test_size_guards_end_at_once_on_astronomical_sizes(argv, tmp_path):
 
 
 HUGE_N = {"n": 1_000_000_000, "edges": []}
+SPARSE_BYTES = 200 * 2**20  # a sparse file: no block is written
 
 
 @pytest.mark.parametrize(
@@ -471,15 +473,22 @@ HUGE_N = {"n": 1_000_000_000, "edges": []}
         # the smallest pipeline past the cap; (1,11) fits the 1 GiB budget
         (["lift", "--op", "pipeline", "--k", "1", "--beta", "12"], 1,
          "error: estimated output size 5999616 exceeds cap 5000000"),
+        # a 200 MiB file is refused from its size, before it is opened
+        (["simulate", "--graph", "sparse.json", "--k", "1", "--alg",
+          "skip-local-max", "--kind", "vc", "--trials", "1"], 1,
+         "error: reading sparse.json (209,715,200 bytes) needs about 2100 MiB, "
+         "more than 1024 MiB"),
     ],
     ids=["build-3-8", "build-4-10-double", "skeleton-12", "simulate-huge-n",
          "export-dot-huge-n", "simulate-trials", "high-girth-regular-4000000",
-         "build-1-10^1500", "pipeline-1-12"],
+         "build-1-10^1500", "pipeline-1-12", "simulate-sparse-200mib"],
 )
 def test_size_refusals_end_at_once_under_a_memory_limit(tmp_path, argv, code, message):
     # unguarded, each of these builds until memory runs out, so each runs
     # in its own process under a timeout and a 1 GB address-space limit
     (tmp_path / "huge.json").write_text(json.dumps(HUGE_N))
+    with open(tmp_path / "sparse.json", "wb") as fh:
+        fh.truncate(SPARSE_BYTES)
     out = "--report" if argv[0] == "simulate" else "--out"
     start = time.perf_counter()
     proc = subprocess.run(
@@ -773,6 +782,177 @@ def test_dispatch_leaves_no_cycles_that_grow_with_work(
     small = _cycles_left_by([*base, "2"])
     large = _cycles_left_by([*base, "40"])
     assert small == large > 0
+
+
+def test_pool_workers_leave_no_cycles_per_trial(tmp_path, capsys, monkeypatch):
+    # forked workers inherit the paused collector, and what they leave never
+    # reaches the parent's count; so each worker collects after every trial
+    # (forked workers look _one_trial up as they call it) and logs the count
+    path = tmp_path / "g.json"
+    assert run(["build", "--k", "1", "--beta", "4", "--out", str(path)]) == 0
+    log = tmp_path / "collected.txt"
+    one_trial = localsim._one_trial
+
+    def counted(*args):
+        result = one_trial(*args)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {gc.collect()}\n")
+        return result
+
+    monkeypatch.setattr(localsim, "_one_trial", counted)
+    assert run(["simulate", "--graph", str(path), "--k", "1", "--alg",
+                "skip-local-max", "--kind", "vc", "--jobs", "2",
+                "--trials", "40"]) == 0
+    by_worker: dict[str, list[int]] = {}
+    for line in log.read_text().splitlines():
+        pid, found = line.split()
+        by_worker.setdefault(pid, []).append(int(found))
+    assert sum(map(len, by_worker.values())) == 40
+    # a worker's first pass also finds what the parent left before the fork
+    assert [found[1:] for found in by_worker.values()] == [
+        [0] * (len(found) - 1) for found in by_worker.values()
+    ]
+
+
+def _buffered_env() -> dict[str, str]:
+    """child_env() with block-buffered standard streams, as in a shell."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_child_process_prints_what_dispatch_prints(tmp_path, capsys, monkeypatch):
+    # main() ends through os._exit, past the interpreter's own flush, so a
+    # child flushes what it printed itself; block-buffered pipes show it
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--k", "1", "--beta", "4", "--out", "g.json"]) == 0
+    cases = [
+        (["verify-iso", "--graph", "g.json", "--k", "1",
+          "--all-pairs-sample", "20", "--seed", "1"], 0),
+        # one round leaves some matchings not maximal
+        (["simulate", "--graph", "g.json", "--k", "1", "--alg", "tape-greedy-mm",
+          "--kind", "mm", "--trials", "50"], 1),
+        (["verify-iso", "--graph", "g.json", "--k", "1"], 2),
+        (["frobnicate"], 2),
+    ]
+    env = _buffered_env()
+    for argv, code in cases:
+        capsys.readouterr()
+        assert run(argv) == code, argv
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustertree", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.encode()
+        ), argv
+
+
+# python -c MAIN_CHILD ARGS...: the console script, with an atexit handler
+MAIN_CHILD = """
+import atexit, sys
+from clustertree import cli
+atexit.register(print, "atexit ran", file=sys.stderr)
+cli.main()
+"""
+
+
+def test_main_skips_atexit_and_leaves_the_report_whole(tmp_path):
+    assert run(["build", "--k", "1", "--beta", "4", "--out",
+                str(tmp_path / "g.json")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", MAIN_CHILD, "verify-iso", "--graph", "g.json",
+         "--k", "1", "--all-pairs-sample", "200", "--report", "r.json"],
+        capture_output=True, text=True, env=_buffered_env(), cwd=tmp_path,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    text = (tmp_path / "r.json").read_text()
+    assert text.endswith("}\n")
+    assert json.loads(text) == json.loads(proc.stdout)
+    assert json.loads(text)["pairs"] == 200
+
+
+def test_unwritable_stdout_ends_as_the_interpreter_ends():
+    # a pipe whose reader has gone: the output fits the buffer, so the
+    # write fails only in main's flush, and the status is the interpreter's
+    # 120, without its message; a descriptor closed before the start leaves
+    # sys.stdout None, and the interpreter's status is 0
+    argv = [sys.executable, "-m", "clustertree", "predict", "--k", "1", "--beta", "4"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            argv, stdout=write_end, stderr=subprocess.PIPE, env=_buffered_env(),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (120, b"")
+    proc = subprocess.run(
+        argv, stderr=subprocess.PIPE, env=_buffered_env(), timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_dispatch_frees_what_the_command_built(capsys, lifted14_file):
+    # the command stays suspended with its working set until dispatch drops
+    # it; kept, the (1,4) output's rows alone would stay at about 8 MB
+    argv = ["verify-iso", "--graph", lifted14_file, "--k", "1",
+            "--all-pairs-sample", "3"]
+    assert run(argv) == 0  # warm-up: first imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert run(argv) == 0
+        gc.collect()  # argparse's parser holds cycles
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 2**20
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-iso", "--graph", "sparse.json", "--k", "1", "--all-pairs-sample", "1"],
+        ["simulate", "--graph", "sparse.json", "--k", "1", "--alg",
+         "skip-local-max", "--kind", "vc", "--trials", "1"],
+        ["export-dot", "--graph", "sparse.json", "--out", "x.out"],
+        ["lift", "--op", "matching-decomposition", "--graph", "sparse.json",
+         "--out", "x.out"],
+        ["lift", "--op", "double-cover", "--graph", "sparse.json", "--out", "x.out"],
+        ["lift", "--op", "supergraph", "--graph", "sparse.json", "--out", "x.out"],
+        ["lift", "--op", "common-lift", "--graph", "g.json", "--graph2",
+         "sparse.json", "--out", "x.out"],
+    ],
+    ids=["verify-iso", "simulate", "export-dot", "matching-decomposition",
+         "double-cover", "supergraph", "common-lift"],
+)
+def test_reading_commands_refuse_a_file_too_large_to_read(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--k", "1", "--beta", "4", "--out", "g.json"]) == 0
+    with open("sparse.json", "wb") as fh:
+        fh.truncate(SPARSE_BYTES)
+    reader = cli.read_graph_json
+
+    def opens_no_large_file(path):
+        assert path != "sparse.json", "the large file was opened"
+        return reader(path)
+
+    monkeypatch.setattr(cli, "read_graph_json", opens_no_large_file)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", (
+        "error: reading sparse.json (209,715,200 bytes) needs about 2100 MiB, "
+        "more than 1024 MiB\n"
+    ))
+    assert not (tmp_path / "x.out").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ directory holding a ``sitecustomize`` module. Every Python process that
 starts with that path, the CLI subprocesses the tests spawn and the
 forked ``simulate --jobs`` workers included, records the ``src/`` lines
 it runs with ``sys.settrace`` and writes them to that directory as it
-exits. A code object stops being traced once all of its lines have run.
+exits: at ``atexit``, or in a wrapped ``os._exit``, which is how the
+CLI's ``main`` and the pool workers end. A code object stops being
+traced once all of its lines have run.
 Hypothesis runs with ``--hypothesis-seed=0``, ahead of the caller's own
 arguments, so two runs on one tree draw the same examples and list the
 same lines.
@@ -76,19 +78,15 @@ def _dump():
         json.dump({{f: sorted(ls) for f, ls in out.items()}}, fh)
 
 
-def _forked():
-    # pool workers leave through os._exit, past atexit
-    exit_now = os._exit
-
-    def _exit(code):
-        _dump()
-        exit_now(code)
-
-    os._exit = _exit
+def _exit(code, _exit_now=os._exit):
+    # the CLI and its pool workers leave through os._exit, past atexit;
+    # forked children inherit the wrapper
+    _dump()
+    _exit_now(code)
 
 
 atexit.register(_dump)
-os.register_at_fork(after_in_child=_forked)
+os._exit = _exit
 threading.settrace(_calls)
 sys.settrace(_calls)
 '''
